@@ -89,6 +89,20 @@ impl FilterConfig {
             hash: SetHash::LowBits,
         }
     }
+
+    /// Checks the geometry is well-formed and the counters hold at least
+    /// one store.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the malformed field.
+    pub fn check(&self) -> Result<(), String> {
+        self.geometry().check("filter table")?;
+        if self.max_count == 0 {
+            return Err("filter counters must hold at least 1".to_string());
+        }
+        Ok(())
+    }
 }
 
 /// Filter-side activity counters.
@@ -152,10 +166,11 @@ impl StoreFilter {
     ///
     /// # Panics
     ///
-    /// Panics if `config.sets` is not a power of two or `config.ways` /
-    /// `config.max_count` is zero.
+    /// Panics unless [`FilterConfig::check`] passes.
     pub fn new(config: FilterConfig) -> StoreFilter {
-        assert!(config.max_count > 0, "filter counters must hold at least 1");
+        if let Err(e) = config.check() {
+            panic!("{e}");
+        }
         StoreFilter {
             config,
             table: SetTable::new(config.geometry()),

@@ -85,19 +85,30 @@ impl PcaxConfig {
         }
     }
 
-    /// Panics unless the table shape and thresholds are well-formed
-    /// (thresholds in 1..=[`MAX_CONF`]: a zero threshold would act on
-    /// evicted entries, one above the ceiling would never act).
-    pub fn validate(&self) {
-        self.table.validate("pcax table");
+    /// Checks the table shape and thresholds are well-formed (thresholds
+    /// in 1..=[`MAX_CONF`]: a zero threshold would act on evicted entries,
+    /// one above the ceiling would never act).
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the malformed field.
+    pub fn check(&self) -> Result<(), String> {
+        self.table.check("pcax table")?;
         for (name, t) in [
             ("no_alias_act", self.no_alias_act),
             ("forward_act", self.forward_act),
         ] {
-            assert!(
-                (1..=MAX_CONF).contains(&t),
-                "pcax {name} must be in 1..={MAX_CONF}, got {t}"
-            );
+            if !(1..=MAX_CONF).contains(&t) {
+                return Err(format!("pcax {name} must be in 1..={MAX_CONF}, got {t}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Panics unless [`PcaxConfig::check`] passes.
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
     }
 }

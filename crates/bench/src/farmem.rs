@@ -31,7 +31,6 @@
 //! }
 //! ```
 
-use crate::hostperf::scale_token;
 use crate::sweep::{json_escape, json_number};
 use aim_workloads::Scale;
 
@@ -107,7 +106,7 @@ impl FarMemReport {
             "  \"artifact\": \"{}\",\n",
             json_escape(&self.artifact)
         ));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", scale_token(self.scale)));
+        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
         out.push_str(&format!("  \"workers\": {},\n", self.workers));
         out.push_str(&format!("  \"cold_sims\": {},\n", self.cold_sims));
         out.push_str(&format!("  \"warm_hits\": {},\n", self.warm_hits));

@@ -45,7 +45,7 @@
 
 use crate::sweep::{json_escape, json_number};
 use crate::Matrix;
-use aim_pipeline::SimConfig;
+use aim_pipeline::{MachineClass, SimConfig};
 use aim_workloads::Scale;
 
 /// One backend × machine-class row, aggregated over every workload.
@@ -84,15 +84,6 @@ pub struct HostperfReport {
     pub rows: Vec<HostperfRow>,
 }
 
-/// The scale's command-line token.
-pub fn scale_token(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-        Scale::Huge => "huge",
-    }
-}
 
 /// FNV-1a over the `Debug` rendering of each statistics record with its
 /// host-dependent [`HostPerf`](aim_pipeline::HostPerf) fields zeroed: one
@@ -163,8 +154,8 @@ impl HostperfReport {
                     secs += stats.host_seconds();
                 }
                 let (machine, backend) = match name.split_once('-') {
-                    Some(("base", rest)) => ("baseline", rest),
-                    Some(("aggr", rest)) => ("aggressive", rest),
+                    Some(("base", rest)) => (MachineClass::Baseline.token(), rest),
+                    Some(("aggr", rest)) => (MachineClass::Aggressive.token(), rest),
                     _ => ("unknown", name.as_str()),
                 };
                 HostperfRow {
@@ -202,7 +193,7 @@ impl HostperfReport {
         out.push_str("{\n");
         out.push_str("  \"schema\": \"aim-hostperf-report/v1\",\n");
         out.push_str("  \"artifact\": \"table_hostperf\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", scale_token(self.scale)));
+        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         out.push_str(&format!(
             "  \"wall_seconds\": {},\n",
@@ -294,8 +285,10 @@ mod tests {
 
     #[test]
     fn scale_tokens_match_the_cli() {
-        assert_eq!(scale_token(Scale::Tiny), "tiny");
-        assert_eq!(scale_token(Scale::Small), "small");
-        assert_eq!(scale_token(Scale::Full), "full");
+        for scale in Scale::ALL {
+            assert_eq!(scale.to_string().parse(), Ok(scale));
+        }
+        assert_eq!(Scale::Tiny.to_string(), "tiny");
+        assert_eq!(Scale::Huge.to_string(), "huge");
     }
 }

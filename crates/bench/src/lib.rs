@@ -58,7 +58,7 @@ pub use geometry_sweep::{
     KneePoint, PcaxSweepReport, PcaxSweepRow,
 };
 pub use hostperf::{
-    fingerprint_stats, fingerprint_text, fingerprint_texts, scale_token, stats_fingerprint,
+    fingerprint_stats, fingerprint_text, fingerprint_texts, stats_fingerprint,
     HostperfReport, HostperfRow,
 };
 pub use hybrid::{HybridReport, HybridRow};
@@ -147,14 +147,12 @@ pub fn run_multi_n1(p: &Prepared, cfg: &SimConfig) -> SimStats {
 /// `full`).
 pub fn scale_from_args() -> Scale {
     let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("tiny") => Scale::Tiny,
-            Some("small") => Scale::Small,
-            Some("full") | None => Scale::Full,
-            Some("huge") => Scale::Huge,
-            Some(other) => panic!("unknown scale `{other}` (tiny|small|full|huge)"),
-        },
+    match args
+        .iter()
+        .position(|a| a == "--scale")
+        .and_then(|i| args.get(i + 1))
+    {
+        Some(token) => token.parse().unwrap_or_else(|e| panic!("{e}")),
         None => Scale::Full,
     }
 }

@@ -34,7 +34,6 @@
 //! }
 //! ```
 
-use crate::hostperf::scale_token;
 use crate::sweep::{json_escape, json_number};
 use aim_workloads::Scale;
 
@@ -94,7 +93,7 @@ impl ServeReport {
         out.push_str("{\n");
         out.push_str("  \"schema\": \"aim-serve-report/v1\",\n");
         out.push_str("  \"artifact\": \"aim_serve\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", scale_token(self.scale)));
+        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
         out.push_str(&format!("  \"workers\": {},\n", self.workers));
         out.push_str(&format!("  \"clients\": {},\n", self.clients));
         out.push_str(&format!("  \"requests\": {},\n", self.requests));

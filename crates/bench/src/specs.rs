@@ -6,13 +6,20 @@
 //! callers, the smoke tests, and the determinism tests one shared source of
 //! truth for *what* each artifact simulates. The binaries remain in charge
 //! of presentation (tables, normalization, CSV).
+//!
+//! The cells other programs submit by name — [`hostperf_configs`] and
+//! [`farmem_configs`], which the job server's replay gate, `table_far_mem`
+//! and the repository benchmark route through the server — are defined as
+//! [`ConfigSpec`] lists, the spelling the CLI and the wire use, and their
+//! artifact specs build them. The other artifacts mutate a built
+//! [`SimConfig`] in ways no config token names.
 
 use crate::{GeometryGrid, Prepared};
 use aim_core::{CorruptionPolicy, MdtConfig, MdtTagging, SetHash, TrueDepRecovery};
 use aim_lsq::LsqConfig;
 use aim_pipeline::{
-    BackendChoice, BackendConfig, FarSpec, FilterConfig, MachineClass, MemSpec, OutputDepRecovery,
-    PcaxConfig, SimConfig,
+    BackendChoice, BackendConfig, ConfigSpec, FarSpec, FilterConfig, MachineClass,
+    OutputDepRecovery, PcaxConfig, SimConfig,
 };
 use aim_predictor::EnforceMode;
 use aim_workloads::Scale;
@@ -476,78 +483,113 @@ pub fn table_filter_sweep(grid: &GeometryGrid) -> ArtifactSpec {
     }
 }
 
-/// `table_hostperf`: every backend on both machine classes — the
-/// host-throughput tracking matrix behind `BENCH_hostperf.json`. Config
-/// names carry the `base-`/`aggr-` machine-class prefix the report's
+/// The `table_hostperf` cells as [`ConfigSpec`]s — every backend on both
+/// machine classes. The job server's replay gate and the repository
+/// benchmark submit exactly these cells; [`table_hostperf`] builds them.
+/// Config names carry the `base-`/`aggr-` machine-class prefix the report's
 /// aggregation keys on.
+pub fn hostperf_configs() -> Vec<(String, ConfigSpec)> {
+    let mut configs = Vec::new();
+    for (machine, tag, lsq, enf) in [
+        (MachineClass::Baseline, "base", None, EnforceMode::All),
+        (
+            MachineClass::Aggressive,
+            "aggr",
+            Some(LsqConfig::aggressive_120x80()),
+            EnforceMode::TotalOrder,
+        ),
+    ] {
+        let cell = |backend| ConfigSpec::new(machine, backend);
+        let lsq_name = lsq.unwrap_or(LsqConfig::baseline_48x32());
+        configs.extend([
+            (format!("{tag}-nospec"), cell(BackendChoice::NoSpec)),
+            (
+                format!("{tag}-lsq-{lsq_name}"),
+                ConfigSpec {
+                    lsq,
+                    ..cell(BackendChoice::Lsq)
+                },
+            ),
+            (
+                format!("{tag}-sfc-mdt-enf"),
+                ConfigSpec {
+                    mode: Some(enf),
+                    ..cell(BackendChoice::SfcMdt)
+                },
+            ),
+            (format!("{tag}-filtered-lsq"), cell(BackendChoice::Filtered)),
+            (format!("{tag}-pcax"), cell(BackendChoice::Pcax)),
+            (format!("{tag}-oracle"), cell(BackendChoice::Oracle)),
+        ]);
+    }
+    configs
+}
+
+/// `table_hostperf`: the host-throughput tracking matrix behind
+/// `BENCH_hostperf.json`, built from [`hostperf_configs`].
 pub fn table_hostperf() -> ArtifactSpec {
     ArtifactSpec {
         artifact: "table_hostperf",
-        configs: vec![
-            named("base-nospec", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::NoSpec).build()),
-            named("base-lsq-48x32", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
-            named("base-sfc-mdt-enf", SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build()),
-            named("base-filtered-lsq", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Filtered).build()),
-            named("base-pcax", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Pcax).build()),
-            named("base-oracle", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Oracle).build()),
-            named("aggr-nospec", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::NoSpec).build()),
-            named("aggr-lsq-120x80", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Lsq).lsq(LsqConfig::aggressive_120x80()).build()),
-            named("aggr-sfc-mdt-enf", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build()),
-            named("aggr-filtered-lsq", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Filtered).build()),
-            named("aggr-pcax", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Pcax).build()),
-            named("aggr-oracle", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Oracle).build()),
-        ],
+        configs: built(hostperf_configs()),
         skip: &[],
     }
 }
 
-/// The shared far-memory tier behind every `table_far_mem` cell: the
-/// Figure 4 hierarchy plus a `latency`-cycle third level with 64 MSHRs
-/// completing in batches of 8.
-fn far_mem(latency: u64) -> MemSpec {
-    MemSpec::figure4().with_far(FarSpec::new(latency, 64, 8))
-}
-
-/// `table_far_mem`: window size × far-memory latency per backend. Both
-/// kilo-entry-window classes (aggressive 1024, huge 4096) run behind the
-/// far tier at a moderate and an extreme latency, bracketed by no-spec
-/// and oracle. Two LSQ columns tell the CAM story: the 120×80 queue — the
-/// paper's largest *buildable* Figure 4 CAM — drowns when thousands of
-/// instructions and hundreds-of-cycles loads are in flight, while the
-/// 256×256 upper bound (every cell's normalization base) shows what an
-/// unbuildable CAM would recover. The address-indexed SFC/MDT and PCAX
-/// track the upper bound, not the buildable CAM.
-pub fn table_far_mem() -> ArtifactSpec {
+/// The `table_far_mem` cells as [`ConfigSpec`]s: window size × far-memory
+/// latency per backend. Both kilo-entry-window classes (aggressive 1024,
+/// huge 4096) run behind a 64-MSHR, batch-8 far tier at a moderate and an
+/// extreme latency, bracketed by no-spec and oracle. Two LSQ columns tell
+/// the CAM story: the 120×80 queue — the paper's largest *buildable*
+/// Figure 4 CAM — drowns when thousands of instructions and
+/// hundreds-of-cycles loads are in flight, while the 256×256 upper bound
+/// (every cell's normalization base) shows what an unbuildable CAM would
+/// recover. The address-indexed SFC/MDT and PCAX track the upper bound,
+/// not the buildable CAM.
+pub fn farmem_configs() -> Vec<(String, ConfigSpec)> {
     let mut configs = Vec::new();
-    for (class, tag) in [(MachineClass::Aggressive, "aggr"), (MachineClass::Huge, "huge")] {
+    for (machine, tag) in [(MachineClass::Aggressive, "aggr"), (MachineClass::Huge, "huge")] {
         for lat in [200u64, 800] {
-            let cell = |backend| SimConfig::machine(class).backend(backend).mem(far_mem(lat)).build();
-            let lsq_cell = |lsq: LsqConfig| {
-                SimConfig::machine(class)
-                    .backend(BackendChoice::Lsq)
-                    .lsq(lsq)
-                    .mem(far_mem(lat))
-                    .build()
+            let cell = |backend, lsq| ConfigSpec {
+                lsq,
+                far: Some(FarSpec::new(lat, 64, 8)),
+                ..ConfigSpec::new(machine, backend)
             };
-            configs.push((format!("{tag}-far{lat}-nospec"), cell(BackendChoice::NoSpec)));
-            configs.push((
-                format!("{tag}-far{lat}-lsq-120x80"),
-                lsq_cell(LsqConfig::aggressive_120x80()),
-            ));
-            configs.push((
-                format!("{tag}-far{lat}-lsq-256x256"),
-                lsq_cell(LsqConfig::aggressive_256x256()),
-            ));
-            configs.push((format!("{tag}-far{lat}-sfc-mdt"), cell(BackendChoice::SfcMdt)));
-            configs.push((format!("{tag}-far{lat}-pcax"), cell(BackendChoice::Pcax)));
-            configs.push((format!("{tag}-far{lat}-oracle"), cell(BackendChoice::Oracle)));
+            let name = |column: &str| format!("{tag}-far{lat}-{column}");
+            configs.extend([
+                (name("nospec"), cell(BackendChoice::NoSpec, None)),
+                (
+                    name("lsq-120x80"),
+                    cell(BackendChoice::Lsq, Some(LsqConfig::aggressive_120x80())),
+                ),
+                (
+                    name("lsq-256x256"),
+                    cell(BackendChoice::Lsq, Some(LsqConfig::aggressive_256x256())),
+                ),
+                (name("sfc-mdt"), cell(BackendChoice::SfcMdt, None)),
+                (name("pcax"), cell(BackendChoice::Pcax, None)),
+                (name("oracle"), cell(BackendChoice::Oracle, None)),
+            ]);
         }
     }
+    configs
+}
+
+/// `table_far_mem`: the [`farmem_configs`] matrix, built.
+pub fn table_far_mem() -> ArtifactSpec {
     ArtifactSpec {
         artifact: "table_far_mem",
-        configs,
+        configs: built(farmem_configs()),
         skip: FIG6_EXCLUDED,
     }
+}
+
+/// Builds named [`ConfigSpec`] cells into the configs an [`ArtifactSpec`]
+/// runs.
+fn built(cells: Vec<(String, ConfigSpec)>) -> Vec<(String, SimConfig)> {
+    cells
+        .into_iter()
+        .map(|(name, spec)| (name, spec.to_config()))
+        .collect()
 }
 
 /// `table_window_sweep`: windows 128–1024, fixed 48×32 LSQ vs SFC/MDT

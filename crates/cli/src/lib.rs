@@ -14,16 +14,12 @@
 //! library so they can be unit-tested; `src/main.rs` is a thin wrapper.
 
 use std::fmt;
+use std::str::FromStr;
 
-use aim_core::{CorruptionPolicy, MdtTagging, SetHash, TableGeometry};
-use aim_lsq::LsqConfig;
-use aim_pipeline::{
-    FarSpec, FilterConfig, MachineClass, MemSpec, PcaxConfig, SampleSpec, SimConfig, SimStats,
-};
+use aim_core::{CorruptionPolicy, MdtTagging};
+use aim_pipeline::{SimConfig, SimStats};
 
-pub use aim_pipeline::{BackendChoice, BackendConfig};
-pub use aim_serve::LsqChoice;
-use aim_predictor::EnforceMode;
+pub use aim_pipeline::{BackendChoice, BackendConfig, ConfigSpec};
 use aim_workloads::Scale;
 
 /// A parsed command line.
@@ -95,26 +91,8 @@ pub struct SubmitArgs {
     pub socket: String,
     /// Kernel name (empty when `shutdown` is set).
     pub kernel: String,
-    /// Machine class.
-    pub machine: MachineClass,
-    /// Memory-ordering backend.
-    pub backend: BackendChoice,
-    /// Enforcement-mode override (`None` keeps the builder default).
-    pub mode: Option<EnforceMode>,
-    /// LSQ capacity override (`None` keeps the builder default).
-    pub lsq: Option<LsqChoice>,
-    /// PCAX table-geometry override (`--pcax SxW`).
-    pub pcax_table: Option<(usize, usize)>,
-    /// PCAX no-alias acting-threshold override (`--pcax-act N`).
-    pub pcax_act: Option<u8>,
-    /// Filtered-LSQ filter-geometry override (`--filt SxW`).
-    pub filt_table: Option<(usize, usize)>,
-    /// Filtered-LSQ counter-saturation override (`--filt-count N`).
-    pub filt_count: Option<u32>,
-    /// Far-memory tier (`--far LATENCYxMSHRSxBATCH`).
-    pub far: Option<FarSpec>,
-    /// Sampled simulation (`--sample WARMxDETAILxPERIODS`).
-    pub sample: Option<SampleSpec>,
+    /// The machine configuration, from the flags `run` takes too.
+    pub config: ConfigSpec,
     /// Workload scale.
     pub scale: Scale,
     /// Ask the server to recompute and byte-compare the cached entry.
@@ -125,38 +103,12 @@ pub struct SubmitArgs {
     pub shutdown: bool,
 }
 
-impl SubmitArgs {
-    /// The wire-level machine configuration this submission names.
-    pub fn config_spec(&self) -> aim_serve::ConfigSpec {
-        aim_serve::ConfigSpec {
-            mode: self.mode,
-            lsq: self.lsq,
-            pcax: self.pcax_table,
-            pcax_act: self.pcax_act,
-            filt: self.filt_table,
-            filt_count: self.filt_count,
-            far: self.far,
-            sample: self.sample,
-            ..aim_serve::ConfigSpec::new(self.machine, self.backend)
-        }
-    }
-}
-
 impl Default for SubmitArgs {
     fn default() -> SubmitArgs {
         SubmitArgs {
             socket: String::new(),
             kernel: String::new(),
-            machine: MachineClass::Baseline,
-            backend: BackendChoice::SfcMdt,
-            mode: None,
-            lsq: None,
-            pcax_table: None,
-            pcax_act: None,
-            filt_table: None,
-            filt_count: None,
-            far: None,
-            sample: None,
+            config: ConfigSpec::default(),
             scale: Scale::Tiny,
             verify: false,
             no_cache: false,
@@ -191,20 +143,13 @@ impl Default for LitmusArgs {
     }
 }
 
-/// Options shared by `run` and `compare`.
+/// Options shared by `run`, `compare`, and `asm`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
     /// Kernel name (see `aim-sim list`).
     pub kernel: String,
-    /// `baseline` (4-wide, 128-entry window), `aggressive` (8-wide, 1024),
-    /// or `huge` (8-wide, 4096-entry kilo-window).
-    pub machine: MachineClass,
-    /// Memory-ordering backend.
-    pub backend: BackendChoice,
-    /// Predictor mode for the SFC/MDT backend.
-    pub mode: EnforceMode,
-    /// LSQ capacity, e.g. `48x32`.
-    pub lsq_size: (usize, usize),
+    /// The machine configuration, from the flags `submit` takes too.
+    pub config: ConfigSpec,
     /// Dynamic instruction budget.
     pub scale: Scale,
     /// Use the untagged MDT variant.
@@ -213,18 +158,6 @@ pub struct RunArgs {
     pub endpoints: bool,
     /// Enable the §4 MDT search filter.
     pub filter: bool,
-    /// PCAX prediction-table geometry override, `sets x ways`.
-    pub pcax_table: Option<(usize, usize)>,
-    /// PCAX no-alias acting-threshold override (1..=3).
-    pub pcax_act: Option<u8>,
-    /// Filtered-LSQ filter geometry override, `sets x ways`.
-    pub filt_table: Option<(usize, usize)>,
-    /// Filtered-LSQ counter saturation override.
-    pub filt_count: Option<u32>,
-    /// Far-memory tier behind the L2 (`--far LATENCYxMSHRSxBATCH`).
-    pub far: Option<FarSpec>,
-    /// Sampled simulation policy (`--sample WARMxDETAILxPERIODS`).
-    pub sample: Option<SampleSpec>,
     /// Print the last N pipeline events after the run.
     pub trace: usize,
     /// Render the last N retired instructions as pipeline timelines.
@@ -241,20 +174,11 @@ impl Default for RunArgs {
     fn default() -> RunArgs {
         RunArgs {
             kernel: String::new(),
-            machine: MachineClass::Baseline,
-            backend: BackendChoice::SfcMdt,
-            mode: EnforceMode::All,
-            lsq_size: (48, 32),
+            config: ConfigSpec::default(),
             scale: Scale::Small,
             untagged: false,
             endpoints: false,
             filter: false,
-            pcax_table: None,
-            pcax_act: None,
-            filt_table: None,
-            filt_count: None,
-            far: None,
-            sample: None,
             trace: 0,
             pipeview: 0,
             jobs: 0,
@@ -290,17 +214,14 @@ USAGE:
   aim-sim submit <kernel>|--shutdown --socket PATH [submit options]
                                      send one job to a serving socket
 
-OPTIONS:
+CONFIG OPTIONS (run, compare, asm, submit):
   --machine baseline|aggressive|huge
                                   pipeline configuration      [baseline]
   --backend sfc-mdt|lsq|filtered|pcax|oracle|nospec
                                   memory-ordering machinery   [sfc-mdt]
-  --mode enf|not-enf|total        predictor enforcement       [enf]
-  --lsq LxS                       LSQ capacity, e.g. 120x80   [48x32]
-  --scale tiny|small|full         instruction budget          [small]
-  --untagged                      untagged MDT variant (§2.2)
-  --endpoints                     flush-endpoint SFC variant (§3.2)
-  --filter                        MDT search filter (§4 future work)
+  --mode enf|not-enf|total        predictor enforcement       [by machine class]
+                                  (compare applies it to sfc-mdt and pcax only)
+  --lsq LxS                       LSQ capacity, e.g. 120x80   [by machine class]
   --pcax SxW                      PCAX table geometry, e.g. 256x1   [1024x2]
   --pcax-act N                    PCAX no-alias acting threshold 1..=3  [2]
   --filt SxW                      filtered-LSQ filter geometry      [256x2]
@@ -308,6 +229,12 @@ OPTIONS:
   --far LATxMSHRSxBATCH           far-memory tier behind the L2, e.g. 400x64x8
   --sample WARMxDETAILxPERIODS    sampled simulation: warm up functionally, then
                                   simulate in detail, repeated, e.g. 20000x2000x10
+  --scale tiny|small|full|huge    instruction budget  [small; tiny for submit]
+
+RUN OPTIONS (run, compare, asm):
+  --untagged                      untagged MDT variant (§2.2)
+  --endpoints                     flush-endpoint SFC variant (§3.2)
+  --filter                        MDT search filter (§4 future work)
   --trace N                       print the last N pipeline events
   --pipeview N                    draw stage timelines for the last N retirements
   --jobs N                        worker threads for compare sweeps [AIM_JOBS/auto]
@@ -322,15 +249,12 @@ LITMUS OPTIONS:
 SERVE OPTIONS:
   --cache DIR                     result-cache directory     [.aim-serve-cache]
   --workers N                     simulation worker threads  [AIM_JOBS/auto]
-  --scale tiny|small|full         replay workload scale      [tiny]
+  --scale tiny|small|full|huge    replay workload scale      [tiny]
   --rounds N                      replay rounds, cold + warm [2]
   --clients N                     replay client connections  [4]
   --verify                        append a replay verify round
 
-SUBMIT OPTIONS:
-  --machine, --backend, --mode, --scale   as for `run` (scale defaults to tiny)
-  --pcax, --pcax-act, --filt, --filt-count, --far, --sample   as for `run`
-  --lsq 48x32|120x80|256x256      LSQ capacity override      [builder default]
+SUBMIT OPTIONS (plus the config options):
   --verify                        recompute and byte-compare the cached entry
   --no-cache                      bypass the cache lookup (always simulate)
 ";
@@ -362,92 +286,23 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
     };
 
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
+        if config_flag(&mut run.config, flag, &mut it)? {
+            continue;
+        }
+        let mut value = || value_of(flag, &mut it);
         match flag.as_str() {
-            "--machine" => run.machine = parse_machine_class(&value("--machine")?)?,
-            "--backend" => {
-                // The shared BackendChoice FromStr is the single source of
-                // truth for the token vocabulary.
-                run.backend = value("--backend")?
-                    .parse()
-                    .map_err(|e: aim_pipeline::UnknownBackend| ParseError(e.to_string()))?;
-            }
-            "--mode" => {
-                run.mode = match value("--mode")?.as_str() {
-                    "enf" => EnforceMode::All,
-                    "not-enf" => EnforceMode::TrueOnly,
-                    "total" => EnforceMode::TotalOrder,
-                    other => return Err(ParseError(format!("unknown mode `{other}`"))),
-                }
-            }
-            "--lsq" => {
-                let v = value("--lsq")?;
-                let (l, s) = v
-                    .split_once('x')
-                    .ok_or_else(|| ParseError(format!("--lsq wants LxS, got `{v}`")))?;
-                run.lsq_size = (
-                    l.parse()
-                        .map_err(|_| ParseError(format!("bad load count `{l}`")))?,
-                    s.parse()
-                        .map_err(|_| ParseError(format!("bad store count `{s}`")))?,
-                );
-            }
-            "--scale" => {
-                run.scale = match value("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    "huge" => Scale::Huge,
-                    other => return Err(ParseError(format!("unknown scale `{other}`"))),
-                }
-            }
+            "--scale" => run.scale = value()?.parse().map_err(ParseError)?,
             "--untagged" => run.untagged = true,
             "--endpoints" => run.endpoints = true,
             "--filter" => run.filter = true,
-            "--pcax" => run.pcax_table = Some(parse_geometry("--pcax", &value("--pcax")?)?),
-            "--pcax-act" => {
-                let v = value("--pcax-act")?;
-                run.pcax_act = Some(
-                    v.parse()
-                        .map_err(|_| ParseError(format!("bad pcax threshold `{v}`")))?,
-                );
-            }
-            "--filt" => run.filt_table = Some(parse_geometry("--filt", &value("--filt")?)?),
-            "--filt-count" => {
-                let v = value("--filt-count")?;
-                run.filt_count = Some(
-                    v.parse()
-                        .map_err(|_| ParseError(format!("bad filter count `{v}`")))?,
-                );
-            }
-            "--far" => run.far = Some(parse_far_spec(&value("--far")?)?),
-            "--sample" => run.sample = Some(parse_sample_spec(&value("--sample")?)?),
-            "--pipeview" => {
-                let v = value("--pipeview")?;
-                run.pipeview = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad pipeview length `{v}`")))?;
-            }
-            "--trace" => {
-                let v = value("--trace")?;
-                run.trace = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad trace length `{v}`")))?;
-            }
-            "--jobs" => {
-                let v = value("--jobs")?;
-                run.jobs = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad job count `{v}`")))?;
-            }
+            "--pipeview" => run.pipeview = number("pipeview length", &value()?)?,
+            "--trace" => run.trace = number("trace length", &value()?)?,
+            "--jobs" => run.jobs = number("job count", &value()?)?,
             "--paranoid" => run.paranoid = true,
             other => return Err(ParseError(format!("unknown option `{other}`"))),
         }
     }
+    run.config.validate().map_err(ParseError)?;
 
     Ok(match cmd.as_str() {
         "run" => Command::Run(run),
@@ -456,30 +311,56 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
     })
 }
 
+/// The one parser of the machine-configuration flags `run`, `compare`,
+/// `asm`, and `submit` share: a flag is `--` plus a [`ConfigSpec::FIELDS`]
+/// name with `_` written `-` (`--pcax-act`), and its value is that field's
+/// token. Applies `flag` (taking its value from `it`) and returns true, or
+/// returns false for any other flag.
+fn config_flag(
+    config: &mut ConfigSpec,
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+) -> Result<bool, ParseError> {
+    let name = flag.strip_prefix("--").map(|name| name.replace('-', "_"));
+    let Some(field) = ConfigSpec::FIELDS
+        .into_iter()
+        .find(|f| name.as_deref() == Some(*f))
+    else {
+        return Ok(false);
+    };
+    config.set(field, &value_of(flag, it)?).map_err(ParseError)?;
+    Ok(true)
+}
+
+/// The word after `flag` on the command line: its value.
+fn value_of(flag: &str, it: &mut std::slice::Iter<'_, String>) -> Result<String, ParseError> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| ParseError(format!("{flag} needs a value")))
+}
+
+/// Parses a count, naming `what` when it is not a number.
+fn number<T: FromStr>(what: &str, token: &str) -> Result<T, ParseError> {
+    token
+        .parse()
+        .map_err(|_| ParseError(format!("bad {what} `{token}`")))
+}
+
 /// Parses the options of the `litmus` command.
 fn parse_litmus(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
     let mut args = LitmusArgs::default();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
+        let mut value = || value_of(flag, &mut it);
         match flag.as_str() {
-            "--test" => args.test = Some(value("--test")?),
+            "--test" => args.test = Some(value()?),
             "--backend" => {
                 args.backend = Some(
-                    value("--backend")?
+                    value()?
                         .parse()
                         .map_err(|e: aim_pipeline::UnknownBackend| ParseError(e.to_string()))?,
                 );
             }
-            "--schedules" => {
-                let v = value("--schedules")?;
-                args.schedules = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad schedule count `{v}`")))?;
-            }
+            "--schedules" => args.schedules = number("schedule count", &value()?)?,
             "--paranoid" => args.paranoid = true,
             other => return Err(ParseError(format!("unknown option `{other}`"))),
         }
@@ -491,43 +372,16 @@ fn parse_litmus(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseEr
 fn parse_serve(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
     let mut args = ServeArgs::default();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
+        let mut value = || value_of(flag, &mut it);
         match flag.as_str() {
-            "--socket" => args.socket = Some(value("--socket")?),
+            "--socket" => args.socket = Some(value()?),
             "--stdio" => args.stdio = true,
             "--replay" => args.replay = true,
-            "--cache" => args.cache = value("--cache")?,
-            "--workers" => {
-                let v = value("--workers")?;
-                args.workers = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad worker count `{v}`")))?;
-            }
-            "--scale" => {
-                args.scale = match value("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    "huge" => Scale::Huge,
-                    other => return Err(ParseError(format!("unknown scale `{other}`"))),
-                }
-            }
-            "--rounds" => {
-                let v = value("--rounds")?;
-                args.rounds = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad round count `{v}`")))?;
-            }
-            "--clients" => {
-                let v = value("--clients")?;
-                args.clients = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad client count `{v}`")))?;
-            }
+            "--cache" => args.cache = value()?,
+            "--workers" => args.workers = number("worker count", &value()?)?,
+            "--scale" => args.scale = value()?.parse().map_err(ParseError)?,
+            "--rounds" => args.rounds = number("round count", &value()?)?,
+            "--clients" => args.clients = number("client count", &value()?)?,
             "--verify" => args.verify = true,
             other => return Err(ParseError(format!("unknown option `{other}`"))),
         }
@@ -559,63 +413,20 @@ fn parse_submit(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseEr
         }
     }
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
+        if config_flag(&mut args.config, flag, &mut it)? {
+            continue;
+        }
+        let mut value = || value_of(flag, &mut it);
         match flag.as_str() {
-            "--socket" => args.socket = value("--socket")?,
-            "--machine" => args.machine = parse_machine_class(&value("--machine")?)?,
-            "--backend" => {
-                args.backend = value("--backend")?
-                    .parse()
-                    .map_err(|e: aim_pipeline::UnknownBackend| ParseError(e.to_string()))?;
-            }
-            "--mode" => {
-                args.mode = Some(match value("--mode")?.as_str() {
-                    "enf" => EnforceMode::All,
-                    "not-enf" => EnforceMode::TrueOnly,
-                    "total" => EnforceMode::TotalOrder,
-                    other => return Err(ParseError(format!("unknown mode `{other}`"))),
-                })
-            }
-            "--lsq" => {
-                args.lsq = Some(LsqChoice::parse(&value("--lsq")?).map_err(ParseError)?);
-            }
-            "--pcax" => args.pcax_table = Some(parse_geometry("--pcax", &value("--pcax")?)?),
-            "--pcax-act" => {
-                let v = value("--pcax-act")?;
-                args.pcax_act = Some(
-                    v.parse()
-                        .map_err(|_| ParseError(format!("bad pcax threshold `{v}`")))?,
-                );
-            }
-            "--filt" => args.filt_table = Some(parse_geometry("--filt", &value("--filt")?)?),
-            "--filt-count" => {
-                let v = value("--filt-count")?;
-                args.filt_count = Some(
-                    v.parse()
-                        .map_err(|_| ParseError(format!("bad filter count `{v}`")))?,
-                );
-            }
-            "--far" => args.far = Some(parse_far_spec(&value("--far")?)?),
-            "--sample" => args.sample = Some(parse_sample_spec(&value("--sample")?)?),
-            "--scale" => {
-                args.scale = match value("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    "huge" => Scale::Huge,
-                    other => return Err(ParseError(format!("unknown scale `{other}`"))),
-                }
-            }
+            "--socket" => args.socket = value()?,
+            "--scale" => args.scale = value()?.parse().map_err(ParseError)?,
             "--verify" => args.verify = true,
             "--no-cache" => args.no_cache = true,
             "--shutdown" => args.shutdown = true,
             other => return Err(ParseError(format!("unknown option `{other}`"))),
         }
     }
+    args.config.validate().map_err(ParseError)?;
     if args.socket.is_empty() {
         return Err(ParseError("submit needs --socket PATH".to_string()));
     }
@@ -625,108 +436,10 @@ fn parse_submit(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseEr
     Ok(Command::Submit(args))
 }
 
-/// Parses a `--machine` token.
-fn parse_machine_class(v: &str) -> Result<MachineClass, ParseError> {
-    match v {
-        "baseline" => Ok(MachineClass::Baseline),
-        "aggressive" => Ok(MachineClass::Aggressive),
-        "huge" => Ok(MachineClass::Huge),
-        other => Err(ParseError(format!(
-            "unknown machine `{other}` (baseline|aggressive|huge)"
-        ))),
-    }
-}
-
-/// Parses a `--far LATENCYxMSHRSxBATCH` far-memory spec, e.g. `400x64x8`.
-fn parse_far_spec(v: &str) -> Result<FarSpec, ParseError> {
-    let bad = || ParseError(format!("--far wants LATENCYxMSHRSxBATCH, got `{v}`"));
-    let parts: Vec<&str> = v.split('x').collect();
-    let [lat, mshrs, batch] = parts.as_slice() else {
-        return Err(bad());
-    };
-    let latency: u64 = lat.parse().map_err(|_| bad())?;
-    let mshrs: usize = mshrs.parse().map_err(|_| bad())?;
-    let batch: u64 = batch.parse().map_err(|_| bad())?;
-    if latency == 0 || mshrs == 0 || batch == 0 {
-        return Err(ParseError(format!(
-            "--far parameters must be nonzero, got `{v}`"
-        )));
-    }
-    Ok(FarSpec::new(latency, mshrs, batch))
-}
-
-/// Parses a `--sample WARMxDETAILxPERIODS` sampling policy, e.g.
-/// `20000x2000x10`: warm up functionally for 20 000 instructions, then
-/// simulate 2 000 in full detail, ten times over.
-fn parse_sample_spec(v: &str) -> Result<SampleSpec, ParseError> {
-    let bad = || ParseError(format!("--sample wants WARMxDETAILxPERIODS, got `{v}`"));
-    let parts: Vec<&str> = v.split('x').collect();
-    let [warm, detail, periods] = parts.as_slice() else {
-        return Err(bad());
-    };
-    let warm: u64 = warm.parse().map_err(|_| bad())?;
-    let detail: u64 = detail.parse().map_err(|_| bad())?;
-    let periods: u32 = periods.parse().map_err(|_| bad())?;
-    SampleSpec::new(warm, detail, periods).ok_or_else(|| {
-        ParseError(format!("--sample parameters must be nonzero, got `{v}`"))
-    })
-}
-
-/// Parses a `SETSxWAYS` table geometry, e.g. `256x1`.
-fn parse_geometry(flag: &str, v: &str) -> Result<(usize, usize), ParseError> {
-    let (s, w) = v
-        .split_once('x')
-        .ok_or_else(|| ParseError(format!("{flag} wants SETSxWAYS, got `{v}`")))?;
-    Ok((
-        s.parse()
-            .map_err(|_| ParseError(format!("bad set count `{s}`")))?,
-        w.parse()
-            .map_err(|_| ParseError(format!("bad way count `{w}`")))?,
-    ))
-}
-
-/// Builds the [`SimConfig`] a [`RunArgs`] describes.
+/// Builds the [`SimConfig`] a [`RunArgs`] describes: its [`ConfigSpec`]
+/// plus the run-only structure variants and observability knobs.
 pub fn build_config(args: &RunArgs) -> SimConfig {
-    let mut builder = SimConfig::machine(args.machine)
-        .backend(args.backend)
-        .lsq(LsqConfig {
-            load_entries: args.lsq_size.0,
-            store_entries: args.lsq_size.1,
-        });
-    if let Some(far) = args.far {
-        builder = builder.mem(MemSpec::figure4().with_far(far));
-    }
-    if let Some(sample) = args.sample {
-        builder = builder.sample(sample);
-    }
-    if args.backend == BackendChoice::SfcMdt || args.backend == BackendChoice::Pcax {
-        // --mode only steers the SFC/MDT-family predictor (pcax wraps the
-        // SFC/MDT); every other backend keeps its TrueOnly default.
-        builder = builder.mode(args.mode);
-    }
-    if args.pcax_table.is_some() || args.pcax_act.is_some() {
-        let baseline = PcaxConfig::baseline();
-        let table = args.pcax_table.map_or(baseline.table, |(sets, ways)| TableGeometry {
-            sets,
-            ways,
-            hash: SetHash::LowBits,
-        });
-        builder = builder.pcax(PcaxConfig {
-            table,
-            no_alias_act: args.pcax_act.unwrap_or(baseline.no_alias_act),
-            ..baseline
-        });
-    }
-    if args.filt_table.is_some() || args.filt_count.is_some() {
-        let baseline = FilterConfig::baseline();
-        let (sets, ways) = args.filt_table.unwrap_or((baseline.sets, baseline.ways));
-        builder = builder.filter(FilterConfig {
-            sets,
-            ways,
-            max_count: args.filt_count.unwrap_or(baseline.max_count),
-        });
-    }
-    let mut cfg = builder.build();
+    let mut cfg = args.config.to_config();
     if let BackendConfig::SfcMdt { sfc, mdt } = &mut cfg.backend {
         if args.untagged {
             mdt.tagging = MdtTagging::Untagged;
@@ -740,6 +453,21 @@ pub fn build_config(args: &RunArgs) -> SimConfig {
     cfg.pipeview = args.pipeview > 0;
     cfg.paranoid = args.paranoid;
     cfg
+}
+
+/// One `compare` column: `args` under `backend`. `--mode` steers only the
+/// SFC/MDT-family columns (PCAX wraps the SFC/MDT); every other column
+/// keeps its builder-default mode.
+pub fn compare_column(args: &RunArgs, backend: BackendChoice) -> RunArgs {
+    let sfc_family = matches!(backend, BackendChoice::SfcMdt | BackendChoice::Pcax);
+    RunArgs {
+        config: ConfigSpec {
+            backend,
+            mode: args.config.mode.filter(|_| sfc_family),
+            ..args.config
+        },
+        ..args.clone()
+    }
 }
 
 /// Formats a full statistics report for one run.
@@ -879,6 +607,9 @@ pub fn report(name: &str, backend: &str, stats: &SimStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aim_lsq::LsqConfig;
+    use aim_pipeline::{FarSpec, FilterConfig, JobSpec, MachineClass, PcaxConfig, SampleSpec};
+    use aim_predictor::EnforceMode;
 
     fn parse(words: &[&str]) -> Result<Command, ParseError> {
         let v: Vec<String> = words.iter().map(|s| s.to_string()).collect();
@@ -898,9 +629,13 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(args.kernel, "gzip");
-        assert_eq!(args.machine, MachineClass::Baseline);
-        assert_eq!(args.backend, BackendChoice::SfcMdt);
-        assert_eq!(args.mode, EnforceMode::All);
+        assert_eq!(
+            args.config,
+            ConfigSpec::new(MachineClass::Baseline, BackendChoice::SfcMdt)
+        );
+        // No `--mode`: the builder's class default (ENF on the baseline).
+        assert_eq!(args.config.mode, None);
+        assert_eq!(build_config(&args).dep_predictor.mode, EnforceMode::All);
     }
 
     #[test]
@@ -924,10 +659,10 @@ mod tests {
         .unwrap() else {
             panic!("expected compare");
         };
-        assert_eq!(args.machine, MachineClass::Aggressive);
-        assert_eq!(args.backend, BackendChoice::Lsq);
-        assert_eq!(args.mode, EnforceMode::TotalOrder);
-        assert_eq!(args.lsq_size, (120, 80));
+        assert_eq!(args.config.machine, MachineClass::Aggressive);
+        assert_eq!(args.config.backend, BackendChoice::Lsq);
+        assert_eq!(args.config.mode, Some(EnforceMode::TotalOrder));
+        assert_eq!(args.config.lsq, Some(LsqConfig::aggressive_120x80()));
         assert_eq!(args.scale, Scale::Full);
         assert!(args.untagged && args.endpoints);
     }
@@ -939,8 +674,8 @@ mod tests {
         else {
             panic!("expected run");
         };
-        assert_eq!(args.machine, MachineClass::Huge);
-        assert_eq!(args.far, Some(FarSpec::new(400, 64, 8)));
+        assert_eq!(args.config.machine, MachineClass::Huge);
+        assert_eq!(args.config.far, Some(FarSpec::new(400, 64, 8)));
         let cfg = build_config(&args);
         assert_eq!(cfg.rob_entries, 4096);
         assert_eq!(cfg.hierarchy.far, Some(FarSpec::new(400, 64, 8)));
@@ -966,7 +701,7 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(args.scale, Scale::Huge);
-        assert_eq!(args.sample, SampleSpec::new(20_000, 2_000, 10));
+        assert_eq!(args.config.sample, SampleSpec::new(20_000, 2_000, 10));
         let cfg = build_config(&args);
         assert_eq!(cfg.sample, SampleSpec::new(20_000, 2_000, 10));
         // Default stays off: byte-identical full-detail configuration.
@@ -986,8 +721,7 @@ mod tests {
         .unwrap() else {
             panic!("expected submit");
         };
-        assert_eq!(args.sample, SampleSpec::new(4_000, 1_000, 8));
-        assert_eq!(args.config_spec().sample, SampleSpec::new(4_000, 1_000, 8));
+        assert_eq!(args.config.sample, SampleSpec::new(4_000, 1_000, 8));
     }
 
     #[test]
@@ -1109,13 +843,11 @@ mod tests {
             panic!("expected submit");
         };
         assert_eq!(args.kernel, "gzip");
-        assert_eq!(args.machine, MachineClass::Aggressive);
         assert!(args.verify && !args.no_cache);
-        assert_eq!(args.backend, BackendChoice::Lsq);
-        assert_eq!(args.lsq, Some(LsqChoice::Aggressive120x80));
-        let spec = args.config_spec();
-        assert_eq!(spec.machine, aim_pipeline::MachineClass::Aggressive);
-        assert_eq!(spec.lsq, Some(LsqChoice::Aggressive120x80));
+        let spec = args.config;
+        assert_eq!(spec.machine, MachineClass::Aggressive);
+        assert_eq!(spec.backend, BackendChoice::Lsq);
+        assert_eq!(spec.lsq, Some(LsqConfig::aggressive_120x80()));
 
         let Command::Submit(args) = parse(&[
             "submit", "swim", "--socket", "/tmp/s.sock", "--machine", "huge",
@@ -1125,8 +857,8 @@ mod tests {
         .unwrap() else {
             panic!("expected submit");
         };
-        let spec = args.config_spec();
-        assert_eq!(spec.machine, aim_pipeline::MachineClass::Huge);
+        let spec = args.config;
+        assert_eq!(spec.machine, MachineClass::Huge);
         assert_eq!(spec.pcax, Some((256, 1)));
         assert_eq!(spec.pcax_act, Some(3));
         assert_eq!(spec.filt, Some((512, 4)));
@@ -1145,10 +877,10 @@ mod tests {
             .unwrap_err()
             .0
             .contains("kernel"));
-        assert!(parse(&["submit", "gzip", "--socket", "/tmp/s", "--lsq", "9x9"])
+        assert!(parse(&["submit", "gzip", "--socket", "/tmp/s", "--lsq", "0x0"])
             .unwrap_err()
             .0
-            .contains("unknown lsq capacity"));
+            .contains("at least one entry"));
     }
 
     #[test]
@@ -1203,8 +935,11 @@ mod tests {
             }
             _ => panic!("expected SFC/MDT backend"),
         }
-        args.backend = BackendChoice::Lsq;
-        args.lsq_size = (7, 9);
+        args.config.backend = BackendChoice::Lsq;
+        args.config.lsq = Some(LsqConfig {
+            load_entries: 7,
+            store_entries: 9,
+        });
         match build_config(&args).backend {
             BackendConfig::Lsq(l) => {
                 assert_eq!((l.load_entries, l.store_entries), (7, 9));
@@ -1220,7 +955,7 @@ mod tests {
         else {
             panic!("expected run");
         };
-        assert_eq!(args.backend, BackendChoice::Filtered);
+        assert_eq!(args.config.backend, BackendChoice::Filtered);
         match build_config(&args).backend {
             BackendConfig::FilteredLsq { lsq, .. } => {
                 assert_eq!((lsq.load_entries, lsq.store_entries), (24, 16));
@@ -1228,7 +963,7 @@ mod tests {
             other => panic!("expected filtered LSQ backend, got {other:?}"),
         }
         let mut aggr = args.clone();
-        aggr.machine = MachineClass::Aggressive;
+        aggr.config.machine = MachineClass::Aggressive;
         assert!(matches!(
             build_config(&aggr).backend,
             BackendConfig::FilteredLsq { lsq, .. }
@@ -1242,13 +977,13 @@ mod tests {
         let Command::Run(args) = parse(&["run", "gzip", "--backend", "pcax"]).unwrap() else {
             panic!("expected run");
         };
-        assert_eq!(args.backend, BackendChoice::Pcax);
+        assert_eq!(args.config.backend, BackendChoice::Pcax);
         match build_config(&args).backend {
             BackendConfig::Pcax { pcax, .. } => assert_eq!(pcax.table.sets, 1024),
             other => panic!("expected PCAX backend, got {other:?}"),
         }
         let mut aggr = args;
-        aggr.machine = MachineClass::Aggressive;
+        aggr.config.machine = MachineClass::Aggressive;
         assert!(matches!(
             build_config(&aggr).backend,
             BackendConfig::Pcax { mdt, .. } if mdt.sets == 8192
@@ -1263,8 +998,8 @@ mod tests {
         .unwrap() else {
             panic!("expected run");
         };
-        assert_eq!(args.pcax_table, Some((64, 1)));
-        assert_eq!(args.pcax_act, Some(3));
+        assert_eq!(args.config.pcax, Some((64, 1)));
+        assert_eq!(args.config.pcax_act, Some(3));
         match build_config(&args).backend {
             BackendConfig::Pcax { pcax, .. } => {
                 assert_eq!((pcax.table.sets, pcax.table.ways), (64, 1));
@@ -1302,8 +1037,8 @@ mod tests {
         .unwrap() else {
             panic!("expected run");
         };
-        assert_eq!(args.filt_table, Some((16, 1)));
-        assert_eq!(args.filt_count, Some(3));
+        assert_eq!(args.config.filt, Some((16, 1)));
+        assert_eq!(args.config.filt_count, Some(3));
         match build_config(&args).backend {
             BackendConfig::FilteredLsq { filter, .. } => {
                 assert_eq!((filter.sets, filter.ways, filter.max_count), (16, 1, 3));
@@ -1333,16 +1068,146 @@ mod tests {
             let Command::Run(args) = parse(&["run", "gzip", "--backend", word]).unwrap() else {
                 panic!("expected run");
             };
-            assert_eq!(args.backend, choice);
+            assert_eq!(args.config.backend, choice);
             assert_eq!(build_config(&args).backend, expect);
             let mut aggr = args.clone();
-            aggr.machine = MachineClass::Aggressive;
+            aggr.config.machine = MachineClass::Aggressive;
             assert_eq!(build_config(&aggr).backend, expect);
         }
         assert!(parse(&["run", "x", "--backend", "psychic"])
             .unwrap_err()
             .0
             .contains("unknown backend"));
+    }
+
+    /// The `--flag value` words that name `spec` (one per set field).
+    fn flags_of(spec: &ConfigSpec) -> Vec<String> {
+        spec.tokens()
+            .into_iter()
+            .flat_map(|(field, token)| [format!("--{}", field.replace('_', "-")), token])
+            .collect()
+    }
+
+    fn run_and_submit(flags: &[String]) -> (RunArgs, SubmitArgs) {
+        let words = |head: &[&str]| -> Vec<String> {
+            head.iter()
+                .map(|w| w.to_string())
+                .chain(flags.iter().cloned())
+                .collect()
+        };
+        let Ok(Command::Run(run)) = parse_args(&words(&["run", "gzip"])) else {
+            panic!("run rejected {flags:?}");
+        };
+        let Ok(Command::Submit(submit)) = parse_args(&words(&["submit", "gzip", "--socket", "s"]))
+        else {
+            panic!("submit rejected {flags:?}");
+        };
+        (run, submit)
+    }
+
+    #[test]
+    fn run_and_submit_name_every_cell_identically() {
+        let cells = aim_bench::specs::hostperf_configs()
+            .into_iter()
+            .chain(aim_bench::specs::farmem_configs());
+        let mut cases: Vec<(Vec<String>, Option<ConfigSpec>)> = cells
+            .map(|(_, spec)| (flags_of(&spec), Some(spec)))
+            .collect();
+        // The two spellings whose defaults once differed between surfaces.
+        for words in [
+            ["--machine", "huge", "--backend", "lsq"].as_slice(),
+            &["--machine", "aggressive"],
+        ] {
+            cases.push((words.iter().map(|w| w.to_string()).collect(), None));
+        }
+        for (flags, cell) in cases {
+            let (run, submit) = run_and_submit(&flags);
+            assert_eq!(run.config, submit.config, "{flags:?}");
+            if let Some(cell) = cell {
+                assert_eq!(run.config, cell, "{flags:?}");
+            }
+            assert_eq!(
+                aim_bench::canonical_config_text(&build_config(&run)),
+                aim_bench::canonical_config_text(&submit.config.to_config()),
+                "{flags:?}"
+            );
+            let job = submit.config.job(&submit.kernel, submit.scale);
+            assert_eq!(
+                JobSpec::from_wire(&job.to_wire(false, false)),
+                Ok(job),
+                "{flags:?}"
+            );
+        }
+        let (huge_lsq, _) = run_and_submit(&flags_of(&ConfigSpec::new(
+            MachineClass::Huge,
+            BackendChoice::Lsq,
+        )));
+        assert_eq!(
+            build_config(&huge_lsq).backend,
+            BackendConfig::Lsq(LsqConfig::aggressive_256x256())
+        );
+        let (aggr, _) = run_and_submit(&["--machine".to_string(), "aggressive".to_string()]);
+        assert_eq!(
+            build_config(&aggr).dep_predictor.mode,
+            EnforceMode::TotalOrder
+        );
+    }
+
+    #[test]
+    fn values_a_backend_would_assert_on_are_rejected_at_decode() {
+        for (field, value) in [
+            ("pcax_act", "0"),
+            ("pcax_act", "9"),
+            ("pcax", "3x2"),
+            ("pcax", "0x2"),
+            ("pcax", "1024x0"),
+            ("filt", "48x2"),
+            ("filt", "256x0"),
+            ("filt_count", "0"),
+            ("lsq", "0x0"),
+            ("lsq", "48x0"),
+        ] {
+            let named = |err: &str| {
+                assert!(
+                    err.contains(&format!("`{field}`")),
+                    "{field}={value}: {err}"
+                );
+                assert!(!err.contains('\n'), "{field}={value}: {err}");
+            };
+            let flag = [format!("--{}", field.replace('_', "-")), value.to_string()];
+            for head in [&["run", "gzip"][..], &["submit", "gzip", "--socket", "s"]] {
+                let words: Vec<String> = head
+                    .iter()
+                    .map(|w| w.to_string())
+                    .chain(flag.iter().cloned())
+                    .collect();
+                named(&parse_args(&words).unwrap_err().0);
+            }
+            let mut msg = ConfigSpec::default()
+                .job("gzip", Scale::Tiny)
+                .to_wire(false, false);
+            match value.parse() {
+                Ok(n) if !value.contains('x') => msg.put_u64(field, n),
+                _ => msg.put_str(field, value),
+            };
+            named(&JobSpec::from_wire(&msg).unwrap_err());
+        }
+    }
+
+    #[test]
+    fn compare_steers_only_the_sfc_family_mode() {
+        let Command::Compare(args) =
+            parse(&["compare", "gzip", "--mode", "not-enf", "--lsq", "24x16"]).unwrap()
+        else {
+            panic!("expected compare");
+        };
+        for backend in BackendChoice::ALL {
+            let column = compare_column(&args, backend);
+            assert_eq!(column.config.backend, backend);
+            assert_eq!(column.config.lsq, args.config.lsq);
+            let steered = matches!(backend, BackendChoice::SfcMdt | BackendChoice::Pcax);
+            assert_eq!(column.config.mode.is_some(), steered, "{backend}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use std::process::ExitCode;
 
 use aim_cli::{
-    build_config, parse_args, report, BackendChoice, Command, LitmusArgs, RunArgs, ServeArgs,
-    SubmitArgs, USAGE,
+    build_config, compare_column, parse_args, report, BackendChoice, Command, LitmusArgs, RunArgs,
+    ServeArgs, SubmitArgs, USAGE,
 };
 use aim_pipeline::{pipeview, simulate_pipeview, simulate_traced};
 
@@ -49,10 +49,7 @@ fn compare_parallel(args: &RunArgs) -> Result<(), String> {
     let configs: Vec<(String, aim_pipeline::SimConfig)> = BackendChoice::ALL
         .iter()
         .map(|&backend| {
-            let cfg = build_config(&RunArgs {
-                backend,
-                ..args.clone()
-            });
+            let cfg = build_config(&compare_column(args, backend));
             (cfg.backend.name(), cfg)
         })
         .collect();
@@ -220,7 +217,7 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
     let path = std::path::PathBuf::from(&args.socket);
     let mut msgs = Vec::new();
     if !args.kernel.is_empty() {
-        let spec = args.config_spec().job(&args.kernel, args.scale);
+        let spec = args.config.job(&args.kernel, args.scale);
         msgs.push(spec.to_wire(args.verify, args.no_cache));
     }
     if args.shutdown {
@@ -300,12 +297,9 @@ fn main() -> ExitCode {
             } else {
                 // Event traces and pipeview records only surface through the
                 // sequential single-run path.
-                BackendChoice::ALL.iter().try_for_each(|&backend| {
-                    run_one(&RunArgs {
-                        backend,
-                        ..args.clone()
-                    })
-                })
+                BackendChoice::ALL
+                    .iter()
+                    .try_for_each(|&backend| run_one(&compare_column(&args, backend)))
             }
         }
     };

@@ -42,7 +42,20 @@ impl TableGeometry {
     /// The geometry's conventional short name, `setsxways` (e.g. `1024x2`),
     /// as used in config names and sweep-report rows.
     pub fn label(&self) -> String {
-        format!("{}x{}", self.sets, self.ways)
+        TableGeometry::dims_label((self.sets, self.ways))
+    }
+
+    /// Renders a `(sets, ways)` pair as the `SETSxWAYS` token the CLI's
+    /// `--pcax`/`--filt` and the wire's `pcax`/`filt` fields use.
+    pub fn dims_label((sets, ways): (usize, usize)) -> String {
+        format!("{sets}x{ways}")
+    }
+
+    /// Parses the `SETSxWAYS` token [`TableGeometry::dims_label`] renders;
+    /// `None` unless it is two numbers joined by `x`.
+    pub fn parse_dims(token: &str) -> Option<(usize, usize)> {
+        let [sets, ways] = aim_types::token::parse_fields(token)?;
+        Some((usize::try_from(sets).ok()?, usize::try_from(ways).ok()?))
     }
 
     /// The cartesian sets × ways grid over `hash`, sets-major (every way
@@ -84,15 +97,30 @@ impl TableGeometry {
         key >> self.sets.trailing_zeros()
     }
 
-    /// Panics unless the geometry is well-formed (power-of-two sets,
-    /// non-zero dimensions).
+    /// Checks the geometry is well-formed (power-of-two sets, non-zero
+    /// dimensions).
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message prefixed with `what`.
+    pub fn check(&self, what: &str) -> Result<(), String> {
+        if !self.sets.is_power_of_two() {
+            return Err(format!(
+                "{what}: sets must be a non-zero power of two, got {}",
+                self.sets
+            ));
+        }
+        if self.ways == 0 {
+            return Err(format!("{what}: ways must be non-zero"));
+        }
+        Ok(())
+    }
+
+    /// Panics unless the geometry is well-formed ([`TableGeometry::check`]).
     pub fn validate(&self, what: &str) {
-        assert!(
-            self.sets.is_power_of_two() && self.sets > 0,
-            "{what}: sets must be a non-zero power of two, got {}",
-            self.sets
-        );
-        assert!(self.ways > 0, "{what}: ways must be non-zero");
+        if let Err(e) = self.check(what) {
+            panic!("{e}");
+        }
     }
 }
 

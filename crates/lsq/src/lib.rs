@@ -44,8 +44,11 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::str::FromStr;
 
 use aim_mem::MainMemory;
+use aim_types::token::parse_fields;
 use aim_types::{Addr, MemAccess, SeqNum, ViolationKind};
 
 /// Queue capacities. The paper's figures use 48×32 (baseline), and 120×80 /
@@ -81,6 +84,46 @@ impl LsqConfig {
             load_entries: 256,
             store_entries: 256,
         }
+    }
+
+    /// Checks both queues hold at least one entry (an empty queue can never
+    /// dispatch its kind, so the pipeline would deadlock).
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the capacity.
+    pub fn check(&self) -> Result<(), String> {
+        if self.load_entries == 0 || self.store_entries == 0 {
+            return Err(format!(
+                "`lsq` queues need at least one entry each, got `{self}`"
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The `LxS` token the CLI's `--lsq` and the wire's `lsq` field use
+/// (`120x80`).
+impl fmt::Display for LsqConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}x{}", self.load_entries, self.store_entries)
+    }
+}
+
+impl FromStr for LsqConfig {
+    type Err = String;
+
+    /// Parses `LxS`, rejecting the empty queues [`LsqConfig::check`]
+    /// rejects.
+    fn from_str(s: &str) -> Result<LsqConfig, String> {
+        let bad = || format!("`lsq` wants LxS, got `{s}`");
+        let [load, store] = parse_fields(s).ok_or_else(bad)?;
+        let lsq = LsqConfig {
+            load_entries: usize::try_from(load).map_err(|_| bad())?,
+            store_entries: usize::try_from(store).map_err(|_| bad())?,
+        };
+        lsq.check()?;
+        Ok(lsq)
     }
 }
 
@@ -163,7 +206,14 @@ pub struct Lsq {
 
 impl Lsq {
     /// Creates an empty LSQ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either queue has no entries ([`LsqConfig::check`]).
     pub fn new(config: LsqConfig) -> Lsq {
+        if let Err(e) = config.check() {
+            panic!("{e}");
+        }
         Lsq {
             config,
             loads: VecDeque::new(),

@@ -37,6 +37,11 @@
 //! assert_eq!(far.try_access(9, 400), Some(400)); // slots drained
 //! ```
 
+use std::fmt;
+use std::str::FromStr;
+
+use aim_types::token::parse_fields;
+
 /// Configuration of the far-memory tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FarSpec {
@@ -64,6 +69,30 @@ impl FarSpec {
             mshrs,
             batch,
         }
+    }
+}
+
+/// The `LATENCYxMSHRSxBATCH` token the CLI's `--far` and the wire's `far`
+/// field use (`400x64x8`).
+impl fmt::Display for FarSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}x{}x{}", self.latency, self.mshrs, self.batch)
+    }
+}
+
+impl FromStr for FarSpec {
+    type Err = String;
+
+    /// Parses `LATENCYxMSHRSxBATCH`, rejecting the zero values
+    /// [`FarSpec::new`] would panic on.
+    fn from_str(s: &str) -> Result<FarSpec, String> {
+        let bad = || format!("`far` wants LATENCYxMSHRSxBATCH, got `{s}`");
+        let [latency, mshrs, batch] = parse_fields(s).ok_or_else(bad)?;
+        let mshrs = usize::try_from(mshrs).map_err(|_| bad())?;
+        if latency == 0 || mshrs == 0 || batch == 0 {
+            return Err(format!("`far` parameters must be nonzero, got `{s}`"));
+        }
+        Ok(FarSpec::new(latency, mshrs, batch))
     }
 }
 

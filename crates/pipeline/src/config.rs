@@ -295,6 +295,12 @@ pub enum MachineClass {
     Huge,
 }
 
+aim_types::keyword_tokens!(MachineClass, "machine", {
+    Baseline => "baseline",
+    Aggressive => "aggressive",
+    Huge => "huge",
+});
+
 /// Builds a [`SimConfig`] from a machine class and a [`BackendChoice`],
 /// filling in the class-appropriate structure geometries (Figure 5's
 /// baseline SFC/MDT vs Figure 6's aggressive ones, the 48×32 LSQ) and the

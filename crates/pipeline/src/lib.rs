@@ -26,7 +26,9 @@
 //!
 //! The stage implementations live in one module per stage (`fetch`,
 //! `dispatch`, `execute`, `retire`, `recover`), all extending the
-//! [`Machine`] driver.
+//! [`Machine`] driver. [`SimConfig::machine`] builds a configuration;
+//! [`ConfigSpec`] names one by tokens — the one spelling the CLI, the job
+//! server's wire, and the bench specs share.
 //!
 //! # Examples
 //!
@@ -64,6 +66,7 @@ mod rename;
 mod retire;
 mod rob;
 pub mod sample;
+mod spec;
 mod stats;
 
 pub use aim_backend::{
@@ -78,6 +81,7 @@ pub use config::{
 };
 pub use machine::{Core, FinalState, Machine, SimError, PIPEVIEW_CAPACITY, TRACE_CAPACITY};
 pub use multi::{run_litmus, CoreSchedule, MultiFinalState, MultiMachine, MultiStats};
+pub use spec::{ConfigSpec, JobSpec};
 pub use pipeview::PipeRecord;
 pub use rename::{PhysReg, RenameDest, Renamer};
 pub use rob::{InFlight, InstrState, Rob};

@@ -31,6 +31,12 @@ pub enum EnforceMode {
     TotalOrder,
 }
 
+aim_types::keyword_tokens!(EnforceMode, "mode", {
+    All => "enf",
+    TrueOnly => "not-enf",
+    TotalOrder => "total",
+});
+
 /// Geometry of the predictor's tables (Figure 4: "16K-entry PT and CT,
 /// 4K producer id's, 512-entry LFPT").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

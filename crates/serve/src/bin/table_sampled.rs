@@ -263,7 +263,7 @@ fn main() {
         cold_sims,
         warm_hits,
         warm_sims,
-        machine: "huge".to_string(),
+        machine: full_spec.machine.to_string(),
         window,
         far_latency: FAR_LATENCY,
         worst_err_pct: worst,

@@ -1,12 +1,12 @@
-//! The `table_far_mem` request matrix and the far-tier stats decoder.
+//! The far-tier stats decoder behind the `table_far_mem` binary.
 //!
-//! The far-memory sweep is the first experiment binary routed through the
-//! job server rather than `aim_bench::run_matrix`: its cells are
-//! [`ConfigSpec`]s submitted over framed connections
-//! ([`run_cells`](crate::run_cells)), so the matrix is content-addressed —
-//! a warm rerun, or any other client naming the same cell through the
-//! extended wire `JobSpec` (the CLI's `submit --machine huge --far …`),
-//! is answered from the shared cache without simulating.
+//! The far-memory sweep is routed through the job server rather than
+//! `aim_bench::run_matrix`: its cells
+//! ([`farmem_configs`](aim_bench::specs::farmem_configs)) are submitted
+//! over framed connections ([`run_cells`](crate::run_cells)), so the matrix
+//! is content-addressed — a warm rerun, or any other client naming the
+//! same cell (the CLI's `submit --machine huge --far …`), is answered from
+//! the shared cache without simulating.
 //!
 //! The server replies with the canonical statistics text, not a
 //! [`SimStats`](aim_pipeline::SimStats) struct, so the far-tier counters
@@ -14,43 +14,7 @@
 //! the format is the byte-stable `Debug` rendering the cache's
 //! fingerprints already pin.
 
-use crate::proto::ConfigSpec;
-use aim_pipeline::{BackendChoice, FarSpec, FarStats, MachineClass};
-use crate::proto::LsqChoice;
-
-/// The 24 `table_far_mem` configurations as job specs, name for name
-/// (`tests::farmem_configs_mirror_the_bench_spec` pins the correspondence
-/// against [`aim_bench::specs::table_far_mem`]): both kilo-entry-window
-/// machine classes × far latencies {200, 800} × the six bracket columns
-/// (no-spec, the buildable 120×80 CAM, the 256×256 upper-bound CAM,
-/// SFC/MDT, PCAX, oracle), every cell behind a 64-MSHR batch-8 far tier.
-pub fn farmem_configs() -> Vec<(String, ConfigSpec)> {
-    let mut configs = Vec::new();
-    for (class, tag) in [(MachineClass::Aggressive, "aggr"), (MachineClass::Huge, "huge")] {
-        for lat in [200u64, 800] {
-            let far = Some(FarSpec::new(lat, 64, 8));
-            let cell = |backend| ConfigSpec { far, ..ConfigSpec::new(class, backend) };
-            let lsq_cell = |lsq| ConfigSpec {
-                far,
-                lsq: Some(lsq),
-                ..ConfigSpec::new(class, BackendChoice::Lsq)
-            };
-            configs.push((format!("{tag}-far{lat}-nospec"), cell(BackendChoice::NoSpec)));
-            configs.push((
-                format!("{tag}-far{lat}-lsq-120x80"),
-                lsq_cell(LsqChoice::Aggressive120x80),
-            ));
-            configs.push((
-                format!("{tag}-far{lat}-lsq-256x256"),
-                lsq_cell(LsqChoice::Aggressive256x256),
-            ));
-            configs.push((format!("{tag}-far{lat}-sfc-mdt"), cell(BackendChoice::SfcMdt)));
-            configs.push((format!("{tag}-far{lat}-pcax"), cell(BackendChoice::Pcax)));
-            configs.push((format!("{tag}-far{lat}-oracle"), cell(BackendChoice::Oracle)));
-        }
-    }
-    configs
-}
+use aim_pipeline::FarStats;
 
 /// Decodes the far-tier counters from a canonical statistics text (the
 /// byte-stable `Debug` rendering cached entries store). Returns `None`
@@ -79,22 +43,8 @@ pub fn parse_far_stats(stats_text: &str) -> Option<FarStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aim_bench::specs::farmem_configs;
     use aim_workloads::Scale;
-
-    #[test]
-    fn farmem_configs_mirror_the_bench_spec_name_for_name() {
-        let bench = aim_bench::specs::table_far_mem();
-        let ours = farmem_configs();
-        assert_eq!(ours.len(), bench.configs.len());
-        for ((name, spec), (bench_name, bench_cfg)) in ours.iter().zip(&bench.configs) {
-            assert_eq!(name, bench_name);
-            assert_eq!(
-                format!("{:?}", spec.to_config()),
-                format!("{bench_cfg:?}"),
-                "config `{name}` diverges from the bench spec"
-            );
-        }
-    }
 
     #[test]
     fn far_stats_round_trip_through_the_canonical_text() {

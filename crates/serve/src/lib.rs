@@ -24,12 +24,14 @@
 //!
 //! Module map:
 //!
-//! * `proto` — the job protocol: [`JobSpec`]/[`JobResponse`] and their
-//!   wire encodings;
+//! * `proto` — the server's side of the job protocol: [`JobResponse`] and
+//!   its wire encoding (requests are [`JobSpec`]s, re-exported from
+//!   `aim-pipeline` with [`ConfigSpec`]);
 //! * `cache` — the checksummed on-disk entry store ([`DiskCache`]);
-//! * `farmem` — the `table_far_mem` request matrix and far-tier stats
-//!   decoder behind the cache-routed far-memory sweep binary
-//!   ([`farmem_configs`], [`parse_far_stats`]);
+//! * `farmem` — the far-tier stats decoder behind the cache-routed
+//!   far-memory sweep binary ([`parse_far_stats`]; its cells are
+//!   [`farmem_configs`], re-exported from `aim_bench::specs` with
+//!   [`hostperf_configs`]);
 //! * `sampled` — the per-kernel tiled sampling policy and sampled-stats
 //!   decoder behind the cache-routed sampled-convergence binary
 //!   ([`sampled_policy`], [`parse_sampled_stats`]);
@@ -48,12 +50,14 @@ mod server;
 mod sock;
 
 pub use cache::{CacheEntry, DiskCache, Lookup};
-pub use farmem::{farmem_configs, parse_far_stats};
+pub use aim_bench::specs::{farmem_configs, hostperf_configs};
+pub use aim_pipeline::{ConfigSpec, JobSpec};
+pub use farmem::parse_far_stats;
 pub use sampled::{
     parse_sampled_stats, sampled_policy, SAMPLE_DETAIL_DIVISOR, SAMPLE_PERIODS,
 };
-pub use proto::{ConfigSpec, JobResponse, JobSpec, LsqChoice, Source, VerifyOutcome};
-pub use replay::{hostperf_configs, run_cells, run_replay, ReplayOptions, ReplayOutcome};
+pub use proto::{JobResponse, Source, VerifyOutcome};
+pub use replay::{run_cells, run_replay, ReplayOptions, ReplayOutcome};
 pub use server::{serve_connection, CounterSnapshot, Server};
 pub use sock::{request_over, serve_stdio, StdioStream};
 #[cfg(unix)]

@@ -3,371 +3,19 @@
 //! A request is one flat [`WireMsg`] with an `op` field:
 //!
 //! * `op: "sim"` — simulate (or recall) one `(kernel, config, scale)`
-//!   cell. Carries a [`JobSpec`] plus the `verify` / `no_cache` flags.
+//!   cell. Carries a [`JobSpec`](aim_pipeline::JobSpec) plus the `verify` /
+//!   `no_cache` flags.
 //! * `op: "stats"` — return the server's lifetime counters.
 //! * `op: "shutdown"` — acknowledge and stop accepting connections.
 //!
-//! A [`JobSpec`] deliberately names configurations the way the CLI and
-//! the bench specs do — machine class, backend token, optional
-//! enforcement mode, optional LSQ capacity, and the optional geometry
-//! overrides the CLI exposes (`--pcax`, `--pcax-act`, `--filt`,
-//! `--filt-count`, plus the far-memory tier). Every configuration in the
-//! committed `table_hostperf` matrix is expressible (a unit test in
-//! [`crate::replay`] pins the correspondence), and the server derives the
-//! exact [`SimConfig`] through the same builder the experiment binaries
-//! use, so a spec means the same simulation everywhere.
+//! A [`JobSpec`](aim_pipeline::JobSpec) and its
+//! [`ConfigSpec`](aim_pipeline::ConfigSpec) live in
+//! `aim-pipeline`, beside the builder they derive a
+//! [`SimConfig`](aim_pipeline::SimConfig) through, so the wire names a
+//! configuration with exactly the tokens the CLI's flags and the bench
+//! specs use; this module holds the server's side of the exchange.
 
-use aim_lsq::LsqConfig;
-use aim_pipeline::{
-    BackendChoice, FarSpec, FilterConfig, MachineClass, MemSpec, PcaxConfig, SampleSpec,
-    SimConfig, TableGeometry,
-};
-use aim_predictor::EnforceMode;
 use aim_types::wire::WireMsg;
-use aim_workloads::Scale;
-
-/// A named LSQ capacity override (the three geometries the paper sweeps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LsqChoice {
-    /// The Figure 5 48-entry / 32-entry baseline queue.
-    Baseline48x32,
-    /// The Figure 6 120-entry / 80-entry aggressive queue.
-    Aggressive120x80,
-    /// The Figure 6 256-entry / 256-entry upper-bound queue.
-    Aggressive256x256,
-}
-
-impl LsqChoice {
-    /// The wire/CLI token (`48x32`, `120x80`, `256x256`).
-    pub fn token(self) -> &'static str {
-        match self {
-            LsqChoice::Baseline48x32 => "48x32",
-            LsqChoice::Aggressive120x80 => "120x80",
-            LsqChoice::Aggressive256x256 => "256x256",
-        }
-    }
-
-    /// Parses a wire/CLI token.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line message naming the valid tokens.
-    pub fn parse(token: &str) -> Result<LsqChoice, String> {
-        match token {
-            "48x32" => Ok(LsqChoice::Baseline48x32),
-            "120x80" => Ok(LsqChoice::Aggressive120x80),
-            "256x256" => Ok(LsqChoice::Aggressive256x256),
-            other => Err(format!("unknown lsq capacity `{other}` (48x32|120x80|256x256)")),
-        }
-    }
-
-    /// The concrete queue geometry.
-    pub fn config(self) -> LsqConfig {
-        match self {
-            LsqChoice::Baseline48x32 => LsqConfig::baseline_48x32(),
-            LsqChoice::Aggressive120x80 => LsqConfig::aggressive_120x80(),
-            LsqChoice::Aggressive256x256 => LsqConfig::aggressive_256x256(),
-        }
-    }
-}
-
-/// A machine configuration, named the way the CLI names it. Combined with
-/// a kernel and a scale it becomes a [`JobSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigSpec {
-    /// Figure 4 machine column.
-    pub machine: MachineClass,
-    /// Backend family.
-    pub backend: BackendChoice,
-    /// Enforcement-mode override (SFC/MDT-family backends; `None` keeps
-    /// the builder default).
-    pub mode: Option<EnforceMode>,
-    /// LSQ capacity override (`None` keeps the builder default).
-    pub lsq: Option<LsqChoice>,
-    /// PCAX prediction-table geometry override, `(sets, ways)` (the CLI's
-    /// `--pcax SxW`; `None` keeps the builder default).
-    pub pcax: Option<(usize, usize)>,
-    /// PCAX no-alias acting-threshold override (the CLI's `--pcax-act N`).
-    pub pcax_act: Option<u8>,
-    /// Filtered-LSQ filter geometry override, `(sets, ways)` (the CLI's
-    /// `--filt SxW`).
-    pub filt: Option<(usize, usize)>,
-    /// Filtered-LSQ counter-saturation override (the CLI's
-    /// `--filt-count N`).
-    pub filt_count: Option<u32>,
-    /// Far-memory tier (`None` simulates the near-memory-only hierarchy).
-    pub far: Option<FarSpec>,
-    /// Sampled fast-forward execution policy (`None` runs full detail).
-    pub sample: Option<SampleSpec>,
-}
-
-impl ConfigSpec {
-    /// A spec with every override left at the builder default.
-    pub fn new(machine: MachineClass, backend: BackendChoice) -> ConfigSpec {
-        ConfigSpec {
-            machine,
-            backend,
-            mode: None,
-            lsq: None,
-            pcax: None,
-            pcax_act: None,
-            filt: None,
-            filt_count: None,
-            far: None,
-            sample: None,
-        }
-    }
-
-    /// Binds this configuration to a kernel and scale.
-    pub fn job(&self, kernel: &str, scale: Scale) -> JobSpec {
-        JobSpec {
-            kernel: kernel.to_string(),
-            scale,
-            config: *self,
-        }
-    }
-
-    /// Derives the exact [`SimConfig`] through the shared builder,
-    /// applying the geometry overrides the same way the CLI's
-    /// `build_config` does.
-    pub fn to_config(&self) -> SimConfig {
-        let mut b = SimConfig::machine(self.machine).backend(self.backend);
-        if let Some(mode) = self.mode {
-            b = b.mode(mode);
-        }
-        if let Some(lsq) = self.lsq {
-            b = b.lsq(lsq.config());
-        }
-        if self.pcax.is_some() || self.pcax_act.is_some() {
-            let baseline = PcaxConfig::baseline();
-            let table = self.pcax.map_or(baseline.table, |(sets, ways)| TableGeometry {
-                sets,
-                ways,
-                ..baseline.table
-            });
-            b = b.pcax(PcaxConfig {
-                table,
-                no_alias_act: self.pcax_act.unwrap_or(baseline.no_alias_act),
-                ..baseline
-            });
-        }
-        if self.filt.is_some() || self.filt_count.is_some() {
-            let baseline = FilterConfig::baseline();
-            let (sets, ways) = self.filt.unwrap_or((baseline.sets, baseline.ways));
-            b = b.filter(FilterConfig {
-                sets,
-                ways,
-                max_count: self.filt_count.unwrap_or(baseline.max_count),
-            });
-        }
-        if let Some(far) = self.far {
-            b = b.mem(MemSpec::figure4().with_far(far));
-        }
-        if let Some(sample) = self.sample {
-            b = b.sample(sample);
-        }
-        b.build()
-    }
-}
-
-/// One simulation request: a kernel, a scale, and a [`ConfigSpec`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobSpec {
-    /// Workload name (must exist in the `aim-workloads` registry).
-    pub kernel: String,
-    /// Workload scale.
-    pub scale: Scale,
-    /// The machine configuration.
-    pub config: ConfigSpec,
-}
-
-fn machine_token(machine: MachineClass) -> &'static str {
-    match machine {
-        MachineClass::Baseline => "baseline",
-        MachineClass::Aggressive => "aggressive",
-        MachineClass::Huge => "huge",
-    }
-}
-
-fn parse_machine(token: &str) -> Result<MachineClass, String> {
-    match token {
-        "baseline" => Ok(MachineClass::Baseline),
-        "aggressive" => Ok(MachineClass::Aggressive),
-        "huge" => Ok(MachineClass::Huge),
-        other => Err(format!("unknown machine `{other}` (baseline|aggressive|huge)")),
-    }
-}
-
-/// Renders a `(sets, ways)` geometry as the CLI's `SETSxWAYS` token.
-fn geometry_token((sets, ways): (usize, usize)) -> String {
-    format!("{sets}x{ways}")
-}
-
-/// Parses a `SETSxWAYS` geometry token.
-fn parse_pair(field: &str, token: &str) -> Result<(usize, usize), String> {
-    let (s, w) = token
-        .split_once('x')
-        .ok_or_else(|| format!("`{field}` wants SETSxWAYS, got `{token}`"))?;
-    let sets = s.parse().map_err(|_| format!("bad set count `{s}` in `{field}`"))?;
-    let ways = w.parse().map_err(|_| format!("bad way count `{w}` in `{field}`"))?;
-    Ok((sets, ways))
-}
-
-/// Renders a [`FarSpec`] as `LATENCYxMSHRSxBATCH`.
-fn far_token(far: FarSpec) -> String {
-    format!("{}x{}x{}", far.latency, far.mshrs, far.batch)
-}
-
-/// Parses a `LATENCYxMSHRSxBATCH` far-tier token, rejecting the zero
-/// values [`FarSpec::new`] would panic on.
-fn parse_far(token: &str) -> Result<FarSpec, String> {
-    let bad = || format!("`far` wants LATENCYxMSHRSxBATCH, got `{token}`");
-    let mut parts = token.split('x');
-    let mut next = || parts.next().ok_or_else(bad);
-    let latency: u64 = next()?.parse().map_err(|_| bad())?;
-    let mshrs: usize = next()?.parse().map_err(|_| bad())?;
-    let batch: u64 = next()?.parse().map_err(|_| bad())?;
-    if parts.next().is_some() {
-        return Err(bad());
-    }
-    if latency == 0 || mshrs == 0 || batch == 0 {
-        return Err(format!("far-tier parameters must be nonzero, got `{token}`"));
-    }
-    Ok(FarSpec::new(latency, mshrs, batch))
-}
-
-/// Renders a [`SampleSpec`] as `WARMxDETAILxPERIODS`.
-fn sample_token(sample: SampleSpec) -> String {
-    format!("{}x{}x{}", sample.warm_insts, sample.detail_insts, sample.periods)
-}
-
-/// Parses a `WARMxDETAILxPERIODS` sampling token, rejecting the zero
-/// values [`SampleSpec::new`] rejects.
-fn parse_sample(token: &str) -> Result<SampleSpec, String> {
-    let bad = || format!("`sample` wants WARMxDETAILxPERIODS, got `{token}`");
-    let mut parts = token.split('x');
-    let mut next = || parts.next().ok_or_else(bad);
-    let warm: u64 = next()?.parse().map_err(|_| bad())?;
-    let detail: u64 = next()?.parse().map_err(|_| bad())?;
-    let periods: u32 = next()?.parse().map_err(|_| bad())?;
-    if parts.next().is_some() {
-        return Err(bad());
-    }
-    SampleSpec::new(warm, detail, periods)
-        .ok_or_else(|| format!("sampling parameters must be nonzero, got `{token}`"))
-}
-
-fn mode_token(mode: EnforceMode) -> &'static str {
-    match mode {
-        EnforceMode::TrueOnly => "not-enf",
-        EnforceMode::All => "enf",
-        EnforceMode::TotalOrder => "total",
-    }
-}
-
-fn parse_mode(token: &str) -> Result<EnforceMode, String> {
-    match token {
-        "not-enf" => Ok(EnforceMode::TrueOnly),
-        "enf" => Ok(EnforceMode::All),
-        "total" => Ok(EnforceMode::TotalOrder),
-        other => Err(format!("unknown mode `{other}` (enf|not-enf|total)")),
-    }
-}
-
-fn parse_scale(token: &str) -> Result<Scale, String> {
-    match token {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "full" => Ok(Scale::Full),
-        "huge" => Ok(Scale::Huge),
-        other => Err(format!("unknown scale `{other}` (tiny|small|full|huge)")),
-    }
-}
-
-impl JobSpec {
-    /// Encodes this spec (and its flags) as an `op: "sim"` request.
-    pub fn to_wire(&self, verify: bool, no_cache: bool) -> WireMsg {
-        let mut msg = WireMsg::new();
-        msg.put_str("op", "sim")
-            .put_str("kernel", &self.kernel)
-            .put_str("scale", aim_bench::scale_token(self.scale))
-            .put_str("machine", machine_token(self.config.machine))
-            .put_str("backend", self.config.backend.token());
-        if let Some(mode) = self.config.mode {
-            msg.put_str("mode", mode_token(mode));
-        }
-        if let Some(lsq) = self.config.lsq {
-            msg.put_str("lsq", lsq.token());
-        }
-        if let Some(pcax) = self.config.pcax {
-            msg.put_str("pcax", &geometry_token(pcax));
-        }
-        if let Some(act) = self.config.pcax_act {
-            msg.put_u64("pcax_act", u64::from(act));
-        }
-        if let Some(filt) = self.config.filt {
-            msg.put_str("filt", &geometry_token(filt));
-        }
-        if let Some(count) = self.config.filt_count {
-            msg.put_u64("filt_count", u64::from(count));
-        }
-        if let Some(far) = self.config.far {
-            msg.put_str("far", &far_token(far));
-        }
-        if let Some(sample) = self.config.sample {
-            msg.put_str("sample", &sample_token(sample));
-        }
-        if verify {
-            msg.put_bool("verify", true);
-        }
-        if no_cache {
-            msg.put_bool("no_cache", true);
-        }
-        msg
-    }
-
-    /// Decodes an `op: "sim"` request.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line message for a missing or unrecognized field.
-    pub fn from_wire(msg: &WireMsg) -> Result<JobSpec, String> {
-        let field = |key: &str| {
-            msg.str_field(key)
-                .ok_or_else(|| format!("sim request is missing the `{key}` field"))
-        };
-        let backend: BackendChoice = field("backend")?
-            .parse()
-            .map_err(|e| format!("{e} (nospec|lsq|filtered|sfc-mdt|pcax|oracle)"))?;
-        let narrow = |key: &'static str, max: u64| {
-            msg.u64_field(key)
-                .map(|v| {
-                    if v == 0 || v > max {
-                        Err(format!("`{key}` must be in 1..={max}, got {v}"))
-                    } else {
-                        Ok(v)
-                    }
-                })
-                .transpose()
-        };
-        Ok(JobSpec {
-            kernel: field("kernel")?.to_string(),
-            scale: parse_scale(field("scale")?)?,
-            config: ConfigSpec {
-                machine: parse_machine(field("machine")?)?,
-                backend,
-                mode: msg.str_field("mode").map(parse_mode).transpose()?,
-                lsq: msg.str_field("lsq").map(LsqChoice::parse).transpose()?,
-                pcax: msg.str_field("pcax").map(|t| parse_pair("pcax", t)).transpose()?,
-                pcax_act: narrow("pcax_act", u64::from(u8::MAX))?.map(|v| v as u8),
-                filt: msg.str_field("filt").map(|t| parse_pair("filt", t)).transpose()?,
-                filt_count: narrow("filt_count", u64::from(u32::MAX))?.map(|v| v as u32),
-                far: msg.str_field("far").map(parse_far).transpose()?,
-                sample: msg.str_field("sample").map(parse_sample).transpose()?,
-            },
-        })
-    }
-}
 
 /// Where a response's statistics came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -507,13 +155,20 @@ pub(crate) fn error_reply(message: &str) -> WireMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aim_lsq::LsqConfig;
+    use aim_pipeline::{
+        BackendChoice, ConfigSpec, FarSpec, JobSpec, MachineClass, MemSpec, PcaxConfig, SampleSpec,
+        SimConfig, TableGeometry,
+    };
+    use aim_predictor::EnforceMode;
+    use aim_workloads::Scale;
 
     fn spec() -> JobSpec {
         JobSpec {
             kernel: "gzip".to_string(),
             scale: Scale::Tiny,
             config: ConfigSpec {
-                lsq: Some(LsqChoice::Aggressive120x80),
+                lsq: Some(LsqConfig::aggressive_120x80()),
                 ..ConfigSpec::new(MachineClass::Aggressive, BackendChoice::Lsq)
             },
         }
@@ -542,7 +197,7 @@ mod tests {
     fn geometry_overrides_round_trip_through_the_wire() {
         let full = ConfigSpec {
             mode: Some(EnforceMode::TotalOrder),
-            lsq: Some(LsqChoice::Aggressive256x256),
+            lsq: Some(LsqConfig::aggressive_256x256()),
             pcax: Some((256, 1)),
             pcax_act: Some(3),
             filt: Some((512, 4)),
@@ -605,8 +260,8 @@ mod tests {
             .put_str("scale", "tiny")
             .put_str("machine", "baseline")
             .put_str("backend", "lsq")
-            .put_str("lsq", "7x7");
-        assert!(JobSpec::from_wire(&bad).unwrap_err().contains("7x7"));
+            .put_str("lsq", "0x32");
+        assert!(JobSpec::from_wire(&bad).unwrap_err().contains("0x32"));
     }
 
     #[test]

@@ -16,50 +16,17 @@
 //!
 //! [`duplex`]: aim_types::wire::duplex
 
-use crate::proto::{ConfigSpec, JobResponse, JobSpec, LsqChoice, VerifyOutcome};
+use crate::proto::{JobResponse, VerifyOutcome};
 use crate::server::{serve_connection, Server};
 use crate::sock::request_over;
+use aim_bench::specs::hostperf_configs;
 use aim_bench::{fingerprint_texts, ServeReport, ServeRound};
-use aim_pipeline::{BackendChoice, MachineClass};
-use aim_predictor::EnforceMode;
+use aim_pipeline::JobSpec;
 use aim_types::wire::duplex;
 use aim_workloads::Scale;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The 12 `table_hostperf` configurations as job specs, name for name
-/// (`crates/serve/tests/cache.rs` pins the correspondence against
-/// [`aim_bench::specs::table_hostperf`]).
-pub fn hostperf_configs() -> Vec<(String, ConfigSpec)> {
-    let spec = |machine, backend, mode, lsq| ConfigSpec {
-        mode,
-        lsq,
-        ..ConfigSpec::new(machine, backend)
-    };
-    let b = MachineClass::Baseline;
-    let a = MachineClass::Aggressive;
-    vec![
-        ("base-nospec".into(), spec(b, BackendChoice::NoSpec, None, None)),
-        ("base-lsq-48x32".into(), spec(b, BackendChoice::Lsq, None, None)),
-        ("base-sfc-mdt-enf".into(), spec(b, BackendChoice::SfcMdt, Some(EnforceMode::All), None)),
-        ("base-filtered-lsq".into(), spec(b, BackendChoice::Filtered, None, None)),
-        ("base-pcax".into(), spec(b, BackendChoice::Pcax, None, None)),
-        ("base-oracle".into(), spec(b, BackendChoice::Oracle, None, None)),
-        ("aggr-nospec".into(), spec(a, BackendChoice::NoSpec, None, None)),
-        (
-            "aggr-lsq-120x80".into(),
-            spec(a, BackendChoice::Lsq, None, Some(LsqChoice::Aggressive120x80)),
-        ),
-        (
-            "aggr-sfc-mdt-enf".into(),
-            spec(a, BackendChoice::SfcMdt, Some(EnforceMode::TotalOrder), None),
-        ),
-        ("aggr-filtered-lsq".into(), spec(a, BackendChoice::Filtered, None, None)),
-        ("aggr-pcax".into(), spec(a, BackendChoice::Pcax, None, None)),
-        ("aggr-oracle".into(), spec(a, BackendChoice::Oracle, None, None)),
-    ]
-}
 
 /// Parameters of one replay run.
 #[derive(Debug, Clone)]
@@ -262,24 +229,4 @@ pub fn run_replay(opts: &ReplayOptions) -> Result<ReplayOutcome, String> {
         rounds,
     };
     Ok(ReplayOutcome { consistent: findings.is_empty(), report, fingerprint, findings })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hostperf_configs_mirror_the_bench_spec_name_for_name() {
-        let bench = aim_bench::specs::table_hostperf();
-        let ours = hostperf_configs();
-        assert_eq!(ours.len(), bench.configs.len());
-        for ((name, spec), (bench_name, bench_cfg)) in ours.iter().zip(&bench.configs) {
-            assert_eq!(name, bench_name);
-            assert_eq!(
-                format!("{:?}", spec.to_config()),
-                format!("{bench_cfg:?}"),
-                "config `{name}` diverges from the bench spec"
-            );
-        }
-    }
 }

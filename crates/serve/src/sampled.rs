@@ -68,7 +68,7 @@ pub fn parse_sampled_stats(stats_text: &str) -> Option<SampledStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::ConfigSpec;
+    use aim_pipeline::ConfigSpec;
     use aim_pipeline::{BackendChoice, MachineClass};
     use aim_workloads::Scale;
 

@@ -23,11 +23,14 @@
 //! once per configuration.
 
 use crate::cache::{CacheEntry, DiskCache, Lookup};
-use crate::proto::{error_reply, JobResponse, JobSpec, Source, VerifyOutcome};
+use crate::proto::{error_reply, JobResponse, Source, VerifyOutcome};
+use aim_pipeline::JobSpec;
 use aim_bench::{cache_key_of_texts, canonical_config_text, program_text, CacheKey, Prepared};
 use aim_types::wire::{read_frame, write_frame, WireMsg};
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -316,16 +319,23 @@ impl Server {
         let prepared = self.prepared_of(&kernel, scale)?;
         self.pool.execute(Box::new(move || {
             counters.sims_run.fetch_add(1, Ordering::Relaxed);
-            let stats = aim_bench::run(&prepared, &cfg);
-            let entry = CacheEntry::from_stats(&stats);
-            let result = if store {
-                cache
-                    .store(key, &entry)
-                    .map(|()| entry)
-                    .map_err(|e| format!("cache store for {key}: {e}"))
-            } else {
-                Ok(entry)
-            };
+            // A simulation that panics (a configuration the decoder could
+            // not reject, or a simulator bug) must still fulfil the slot:
+            // the leader and every dedup waiter are parked on it.
+            let run = panic::catch_unwind(AssertUnwindSafe(|| aim_bench::run(&prepared, &cfg)));
+            let result = run
+                .map_err(|payload| format!("simulation panicked: {}", panic_message(&*payload)))
+                .and_then(|stats| {
+                    let entry = CacheEntry::from_stats(&stats);
+                    if store {
+                        cache
+                            .store(key, &entry)
+                            .map(|()| entry)
+                            .map_err(|e| format!("cache store for {key}: {e}"))
+                    } else {
+                        Ok(entry)
+                    }
+                });
             done.fulfill(result);
         }));
         slot.wait()
@@ -469,6 +479,16 @@ impl Server {
             None => (error_reply("request is missing the `op` field"), false),
         }
     }
+}
+
+/// The message a panic was raised with (`panic!` payloads are a `&str` or
+/// a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Serves one framed connection until the peer hangs up, a protocol error

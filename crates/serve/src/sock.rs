@@ -109,7 +109,8 @@ pub fn submit_unix(path: &std::path::Path, msgs: &[WireMsg]) -> io::Result<Vec<W
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::proto::{ConfigSpec, JobResponse, Source};
+    use crate::proto::{JobResponse, Source};
+    use aim_pipeline::ConfigSpec;
     use aim_pipeline::{BackendChoice, MachineClass};
     use aim_workloads::Scale;
 

@@ -29,7 +29,7 @@ use aim_pipeline::{
     SampleSpec, SimConfig, TableGeometry,
 };
 use aim_predictor::EnforceMode;
-use aim_serve::{ConfigSpec, LsqChoice};
+use aim_serve::ConfigSpec;
 use proptest::prelude::*;
 
 /// A fixed program text: these properties quantify over configurations,
@@ -56,8 +56,8 @@ fn spec_from_seed(seed: u64) -> ConfigSpec {
     };
     let lsq = match (seed >> 7) % 4 {
         0 | 1 => None,
-        2 => Some(LsqChoice::Baseline48x32),
-        _ => Some(LsqChoice::Aggressive120x80),
+        2 => Some(LsqConfig::baseline_48x32()),
+        _ => Some(LsqConfig::aggressive_120x80()),
     };
     let pcax = ((seed >> 9) % 4 == 3).then_some((256, 1));
     let pcax_act = ((seed >> 11) % 4 == 3).then_some(3);
@@ -118,7 +118,7 @@ fn build_reordered(spec: &ConfigSpec) -> SimConfig {
         });
     }
     if let Some(lsq) = spec.lsq {
-        b = b.lsq(lsq.config());
+        b = b.lsq(lsq);
     }
     if let Some(mode) = spec.mode {
         b = b.mode(mode);
@@ -135,16 +135,13 @@ fn build_default_filled(spec: &ConfigSpec) -> SimConfig {
         BackendChoice::SfcMdt | BackendChoice::Pcax => EnforceMode::All,
         _ => EnforceMode::TrueOnly,
     });
-    let lsq = spec.lsq.map_or_else(
-        || {
-            if spec.machine == MachineClass::Huge {
-                LsqConfig::aggressive_256x256()
-            } else {
-                LsqConfig::baseline_48x32()
-            }
-        },
-        LsqChoice::config,
-    );
+    let lsq = spec.lsq.unwrap_or_else(|| {
+        if spec.machine == MachineClass::Huge {
+            LsqConfig::aggressive_256x256()
+        } else {
+            LsqConfig::baseline_48x32()
+        }
+    });
     let pcax_baseline = PcaxConfig::baseline();
     let pcax = PcaxConfig {
         table: spec.pcax.map_or(pcax_baseline.table, |(sets, ways)| TableGeometry {

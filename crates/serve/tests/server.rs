@@ -3,14 +3,16 @@
 //! wire layer's error replies.
 
 use aim_bench::fingerprint_text;
+use aim_pipeline::{BackendChoice, MachineClass};
 use aim_serve::{
-    hostperf_configs, serve_connection, CacheEntry, DiskCache, JobResponse, JobSpec, Server,
-    Source, VerifyOutcome,
+    hostperf_configs, serve_connection, CacheEntry, ConfigSpec, DiskCache, JobResponse, JobSpec,
+    Server, Source, VerifyOutcome,
 };
 use aim_types::wire::{duplex, read_frame, write_frame, WireMsg};
 use aim_workloads::Scale;
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("aim_serve_srv_{tag}_{}", std::process::id()));
@@ -211,5 +213,43 @@ fn wire_errors_are_actionable_and_non_fatal() {
     handler.join().unwrap().unwrap();
     assert!(server.is_shutdown());
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job whose simulation panics (here a hand-built spec the wire decoder
+/// would reject, so it reaches the pool) must not wedge the server: the
+/// leader and a racing duplicate both get the typed error within a bounded
+/// wait, a resubmission errors again instead of parking on a stale
+/// in-flight slot, and the lone worker still serves a valid request.
+#[test]
+fn a_panicking_job_errors_every_waiter_and_the_pool_survives() {
+    let dir = temp_dir("panicking_job");
+    let server = Arc::new(Server::new(&dir, 1).unwrap());
+    let bad = ConfigSpec {
+        pcax_act: Some(9),
+        ..ConfigSpec::new(MachineClass::Baseline, BackendChoice::Pcax)
+    }
+    .job("gzip", Scale::Tiny);
+    let submit_racing = |clients: usize| {
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..clients {
+            let (server, bad, tx) = (Arc::clone(&server), bad.clone(), tx.clone());
+            std::thread::spawn(move || tx.send(server.submit(&bad, false, false)));
+        }
+        for _ in 0..clients {
+            let reply = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a client got no reply to a panicking job");
+            let err = reply.expect_err("a panicking job must not succeed");
+            assert!(err.starts_with("simulation panicked: "), "{err}");
+            assert!(err.contains("no_alias_act"), "{err}");
+        }
+    };
+    submit_racing(2);
+    submit_racing(1);
+    let ok = server
+        .submit(&spec(0, "gzip"), false, false)
+        .expect("the pool survived");
+    assert_eq!(ok.source, Source::Sim);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,13 +24,16 @@
 mod addr;
 mod mask;
 mod sample;
+mod scale;
 mod seq;
+pub mod token;
 mod violation;
 pub mod wire;
 
 pub use addr::{AccessSize, Addr, MemAccess, MisalignedAccess};
 pub use mask::ByteMask;
 pub use sample::SampleSpec;
+pub use scale::Scale;
 pub use seq::SeqNum;
 pub use violation::ViolationKind;
 

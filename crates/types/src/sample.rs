@@ -1,5 +1,10 @@
 //! Sampled-simulation policy.
 
+use std::fmt;
+use std::str::FromStr;
+
+use crate::token::parse_fields;
+
 /// The sampling policy of a sampled (fast-forward) simulation run: the
 /// pipeline alternates *detailed* cycle-accurate windows of `detail_insts`
 /// instructions with *functional warm-up* stretches of `warm_insts`
@@ -22,6 +27,8 @@
 /// let spec = SampleSpec::new(2_000, 1_000, 8).unwrap();
 /// assert_eq!(spec.period_insts(), 3_000);
 /// assert!(SampleSpec::new(0, 1_000, 8).is_none());
+/// assert_eq!(spec.to_string(), "2000x1000x8");
+/// assert_eq!("2000x1000x8".parse(), Ok(spec));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SampleSpec {
@@ -50,6 +57,32 @@ impl SampleSpec {
     /// Instructions covered by one warm+detail period.
     pub fn period_insts(&self) -> u64 {
         self.warm_insts + self.detail_insts
+    }
+}
+
+/// The `WARMxDETAILxPERIODS` token the CLI's `--sample` and the wire's
+/// `sample` field use.
+impl fmt::Display for SampleSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}x{}x{}",
+            self.warm_insts, self.detail_insts, self.periods
+        )
+    }
+}
+
+impl FromStr for SampleSpec {
+    type Err = String;
+
+    /// Parses `WARMxDETAILxPERIODS`, rejecting the zero fields
+    /// [`SampleSpec::new`] rejects.
+    fn from_str(s: &str) -> Result<SampleSpec, String> {
+        let bad = || format!("`sample` wants WARMxDETAILxPERIODS, got `{s}`");
+        let [warm, detail, periods] = parse_fields(s).ok_or_else(bad)?;
+        let periods = u32::try_from(periods).map_err(|_| bad())?;
+        SampleSpec::new(warm, detail, periods)
+            .ok_or_else(|| format!("`sample` parameters must be nonzero, got `{s}`"))
     }
 }
 

@@ -136,6 +136,25 @@ cargo run --release -q -p aim-cli --bin aim-sim -- \
   submit --shutdown --socket "$FARMEM_SOCK" >/dev/null
 wait "$FARMEM_SERVE_PID"
 
+# The CLI-surface gate: every command names a machine through the one
+# ConfigSpec surface. `run` must take the huge class's own 256x256 LSQ
+# default, and a value the PCAX backend would assert on must be refused
+# at decode with an `error:` line, not reach the simulator and panic.
+echo "== tier1: aim-sim config surface =="
+cargo run --release -q -p aim-cli --bin aim-sim -- \
+  run swim --machine huge --backend lsq --scale tiny \
+  | grep -q 'under lsq256x256'
+if PCAX_ACT_OUT="$(cargo run --release -q -p aim-cli --bin aim-sim -- \
+    run gzip --backend pcax --pcax-act 9 --scale tiny 2>&1)"; then
+  echo "aim-sim accepted --pcax-act 9" >&2
+  exit 1
+fi
+grep -q '^error: ' <<<"$PCAX_ACT_OUT"
+if grep -q 'panicked' <<<"$PCAX_ACT_OUT"; then
+  echo "aim-sim panicked on --pcax-act 9" >&2
+  exit 1
+fi
+
 # Benches must keep compiling even though tier-1 does not time them.
 echo "== tier1: cargo bench --no-run =="
 cargo bench --no-run
