@@ -6,7 +6,7 @@ use aim_mem::MainMemory;
 use aim_types::{Addr, MemAccess, MisalignedAccess};
 
 use crate::instr::{Instr, Reg};
-use crate::trace::{Trace, TraceRecord};
+use crate::trace::{Retired, Trace};
 use crate::Program;
 
 /// Errors raised by architectural execution.
@@ -130,13 +130,13 @@ impl<'a> Interpreter<'a> {
         &mut self.mem
     }
 
-    /// Executes one instruction, returning its trace record, or `Ok(None)` if
-    /// the machine has already halted.
+    /// Executes one instruction, returning what it retired, or `Ok(None)`
+    /// if the machine has already halted.
     ///
     /// # Errors
     ///
     /// See [`ExecError`].
-    pub fn step(&mut self) -> Result<Option<TraceRecord>, ExecError> {
+    pub fn step(&mut self) -> Result<Option<Retired>, ExecError> {
         if self.halted {
             return Ok(None);
         }
@@ -146,8 +146,7 @@ impl<'a> Interpreter<'a> {
             .instr(pc)
             .ok_or(ExecError::PcOutOfRange { pc })?;
 
-        let mut record = TraceRecord {
-            index: self.executed,
+        let mut record = Retired {
             pc,
             instr,
             reg_write: None,
@@ -248,12 +247,16 @@ impl<'a> Interpreter<'a> {
     /// # Errors
     ///
     /// See [`ExecError`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program has more instructions than a `u32` pc holds.
     pub fn run(&mut self, max_instrs: u64) -> Result<Trace, ExecError> {
-        let mut trace = Trace::new();
+        let mut trace = Trace::new(self.program.instrs());
         while self.executed < max_instrs {
             match self.step()? {
                 Some(record) => {
-                    trace.push(record);
+                    trace.push(&record);
                     if self.halted {
                         trace.set_halted();
                         break;

@@ -280,19 +280,15 @@ mod tests {
                 let mut interp = crate::Interpreter::new(p);
                 let trace = interp.run(1_000).unwrap();
                 let mut seen = std::collections::HashSet::new();
-                for rec in trace.records() {
+                for (i, rec) in trace.records().enumerate() {
                     if let Some((access, _)) = rec.mem_load {
                         if !matches!(p.instr(rec.pc), Some(Instr::Store { .. })) {
                             let fresh = seen.insert(access.addr().0);
                             // A load after a same-core store to the word is
                             // a forwarding read; those may repeat.
-                            let stored_before = trace
-                                .records()
-                                .iter()
-                                .take_while(|r| r.index < rec.index)
-                                .any(|r| {
-                                    r.mem_store.is_some_and(|(a, _)| a.addr() == access.addr())
-                                });
+                            let stored_before = trace.records().take(i).any(|r| {
+                                r.mem_store.is_some_and(|(a, _)| a.addr() == access.addr())
+                            });
                             assert!(
                                 fresh || stored_before,
                                 "{} core {core}: repeated load of {:#x}",

@@ -387,7 +387,7 @@ impl<'a> Core<'a> {
         self.rob.head().map(|h| h.seq) == Some(seq)
     }
 
-    pub(crate) fn trace_record(&self, cursor: u64) -> Option<&aim_isa::TraceRecord> {
+    pub(crate) fn trace_record(&self, cursor: u64) -> Option<aim_isa::Retired> {
         self.trace.get(cursor)
     }
 }

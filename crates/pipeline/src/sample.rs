@@ -60,7 +60,7 @@
 use std::collections::VecDeque;
 
 use aim_backend::{LoadOutcome, LoadRequest, MemKind, StoreOutcome, StoreRequest};
-use aim_isa::TraceRecord;
+use aim_isa::Retired;
 use aim_types::{MemAccess, SeqNum};
 
 use crate::machine::{Core, SimError};
@@ -353,7 +353,7 @@ impl Core<'_> {
         let mut last_fetch_line = u64::MAX;
         while self.stats.retired < target {
             let cursor = self.stats.retired;
-            let rec = *self.trace.get(cursor).expect("target bounded by trace");
+            let rec = self.trace.get(cursor).expect("target bounded by trace");
             clock_acc += cpi_fp;
             self.cycle += clock_acc / CPI_FP_ONE;
             clock_acc %= CPI_FP_ONE;
@@ -395,7 +395,7 @@ impl Core<'_> {
     /// Drives one architectural memory operation through the backend's full
     /// dispatch → execute contract, with lagged retirement and the detailed
     /// pipeline's replay-then-bypass discipline.
-    fn warm_mem_op(&mut self, lag: &mut VecDeque<WarmOp>, rec: &TraceRecord) -> Result<(), SimError> {
+    fn warm_mem_op(&mut self, lag: &mut VecDeque<WarmOp>, rec: &Retired) -> Result<(), SimError> {
         let is_store = rec.instr.is_store();
         let (access, arch_value) = if is_store {
             rec.mem_store.expect("store record has an access")
@@ -540,7 +540,7 @@ impl Core<'_> {
 
     fn warm_validate_load(
         &self,
-        rec: &TraceRecord,
+        rec: &Retired,
         access: MemAccess,
         value: u64,
     ) -> Result<(), SimError> {
@@ -552,7 +552,7 @@ impl Core<'_> {
             return Err(SimError::Validation(format!(
                 "warm load at pc {} (trace {}): expected {expect_access}={expect:#x}, \
                  got {access}={value:#x}",
-                rec.pc, rec.index
+                rec.pc, self.stats.retired
             )));
         }
         Ok(())

@@ -275,13 +275,23 @@ impl JobSpec {
         msg
     }
 
+    /// The request fields an `op: "sim"` message may carry besides
+    /// [`ConfigSpec::FIELDS`].
+    const REQUEST_FIELDS: [&'static str; 5] = ["op", "kernel", "scale", "verify", "no_cache"];
+
     /// Decodes and validates an `op: "sim"` request.
     ///
     /// # Errors
     ///
-    /// Returns a one-line message for a missing, malformed, or rejected
-    /// field.
+    /// Returns a one-line message for a missing, malformed, rejected or
+    /// unknown field.
     pub fn from_wire(msg: &WireMsg) -> Result<JobSpec, String> {
+        if let Some(field) = msg
+            .keys()
+            .find(|k| !Self::REQUEST_FIELDS.contains(k) && !ConfigSpec::FIELDS.contains(k))
+        {
+            return Err(format!("sim request has an unknown field `{field}`"));
+        }
         let token = |key: &str| {
             msg.str_field(key)
                 .map(str::to_string)

@@ -262,6 +262,27 @@ mod tests {
             .put_str("backend", "lsq")
             .put_str("lsq", "0x32");
         assert!(JobSpec::from_wire(&bad).unwrap_err().contains("0x32"));
+
+        let typo = WireMsg::parse(
+            r#"{"op":"sim","kernel":"gzip","scale":"tiny","machine":"baseline","backend":"lsq","lsqq":"0x0"}"#,
+        )
+        .unwrap();
+        let err = JobSpec::from_wire(&typo).unwrap_err();
+        assert_eq!(err, "sim request has an unknown field `lsqq`");
+    }
+
+    #[test]
+    fn every_matrix_cell_round_trips_through_the_wire() {
+        let cells = aim_bench::specs::hostperf_configs()
+            .into_iter()
+            .chain(aim_bench::specs::farmem_configs());
+        for (name, config) in cells {
+            let job = config.job("gzip", Scale::Tiny);
+            for (verify, no_cache) in [(false, false), (true, true)] {
+                let msg = WireMsg::parse(&job.to_wire(verify, no_cache).to_json()).unwrap();
+                assert_eq!(JobSpec::from_wire(&msg).as_ref(), Ok(&job), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -33,8 +33,11 @@ pub const SAMPLE_DETAIL_DIVISOR: u64 = 32;
 /// than the scale's nominal target) keeps long-tailed kernels from
 /// extrapolating their final millions of instructions from a schedule
 /// that ended early. On the huge/far-memory configuration this policy
-/// holds every committed kernel within ±7% of full-detail IPC at an
-/// 11×+ wall-clock speedup (see `EXPERIMENTS.md` T-SAMPLE).
+/// holds every committed kernel within ±7% of full-detail IPC (see
+/// `EXPERIMENTS.md` T-SAMPLE). Its wall-clock speedup is host-dependent:
+/// measured runs range from 6.3× to 14.8× against the 10× floor, because
+/// the full-detail times vary between runs (T-SAMPLE footnote; ROADMAP
+/// item 2).
 pub fn sampled_policy(trace_len: u64) -> SampleSpec {
     let period = (trace_len / u64::from(SAMPLE_PERIODS)).max(8);
     let detail = (period / SAMPLE_DETAIL_DIVISOR).max(4);

@@ -146,6 +146,11 @@ impl WireMsg {
         self
     }
 
+    /// Every field name, in message order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.fields.iter().map(|(k, _)| k.as_str())
+    }
+
     /// The first value stored under `key`, if any.
     pub fn get(&self, key: &str) -> Option<&WireValue> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)

@@ -211,19 +211,29 @@ mod tests {
     }
 
     #[test]
+    fn every_kernel_trace_decodes_what_the_interpreter_stepped() {
+        for w in all(Scale::Tiny) {
+            let trace = Interpreter::new(&w.program).run(2_000_000).unwrap();
+            let mut interp = Interpreter::new(&w.program);
+            for (i, rec) in trace.records().enumerate() {
+                let stepped = interp.step().unwrap();
+                assert_eq!(Some(rec), stepped, "{} record {i}", w.name);
+            }
+            assert_eq!(
+                interp.step().unwrap(),
+                None,
+                "{}: trace ends at Halt",
+                w.name
+            );
+        }
+    }
+
+    #[test]
     fn kernels_have_memory_traffic() {
         for w in all(Scale::Tiny) {
             let trace = Interpreter::new(&w.program).run(2_000_000).unwrap();
-            let loads = trace
-                .records()
-                .iter()
-                .filter(|r| r.mem_load.is_some())
-                .count();
-            let stores = trace
-                .records()
-                .iter()
-                .filter(|r| r.mem_store.is_some())
-                .count();
+            let loads = trace.records().filter(|r| r.mem_load.is_some()).count();
+            let stores = trace.records().filter(|r| r.mem_store.is_some()).count();
             assert!(loads > 100, "{}: only {loads} loads", w.name);
             // mcf is deliberately load-dominated; every kernel still stores.
             assert!(stores > 5, "{}: only {stores} stores", w.name);

@@ -154,7 +154,7 @@ mod tests {
     fn memory_traffic_present() {
         let p = random_program(3, 50, 30);
         let trace = Interpreter::new(&p).run(2_000_000).unwrap();
-        assert!(trace.records().iter().any(|r| r.mem_load.is_some()));
-        assert!(trace.records().iter().any(|r| r.mem_store.is_some()));
+        assert!(trace.records().any(|r| r.mem_load.is_some()));
+        assert!(trace.records().any(|r| r.mem_store.is_some()));
     }
 }

@@ -155,6 +155,13 @@ if grep -q 'panicked' <<<"$PCAX_ACT_OUT"; then
   exit 1
 fi
 
+# The repository benchmark (perfbench/) is a workspace of its own that
+# path-depends on the crates' public APIs: build it and run its smoke tests
+# (two tiny kernels per workload), so an API change that breaks it fails
+# here rather than at benchmark time.
+echo "== tier1: perfbench smoke tests =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Benches must keep compiling even though tier-1 does not time them.
 echo "== tier1: cargo bench --no-run =="
 cargo bench --no-run
