@@ -18,6 +18,7 @@ use aim_workloads::Suite;
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let spec = specs::fig5_baseline();
     let prepared = spec.workloads(scale);
     let (matrix, wall) = run_matrix_timed(&prepared, &spec.configs, jobs);
@@ -77,7 +78,7 @@ fn main() {
     );
     rule(74);
     println!("paper targets: ENF avg ≈ 0.99+ (within 1%), NOT-ENF avg ≈ 0.97+ (within 3%)");
-    if let Some(path) = csv_path_from_args() {
+    if let Some(path) = csv_path {
         csv.write(&path).expect("write csv");
         println!("wrote {path}");
     }

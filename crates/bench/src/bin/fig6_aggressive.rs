@@ -19,6 +19,7 @@ use aim_workloads::Suite;
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let spec = specs::fig6_aggressive();
     let prepared = spec.workloads(scale);
     let (matrix, wall) = run_matrix_timed(&prepared, &spec.configs, jobs);
@@ -90,7 +91,7 @@ fn main() {
     rule(86);
     println!("paper targets: ENF int avg ≈ 0.91, ENF fp avg ≈ 1.02;");
     println!("  bzip2/mcf/vpr_route ≤ 0.85; ammp/equake ≤ 0.90; lq48xsq32 well below 1.0");
-    if let Some(path) = csv_path_from_args() {
+    if let Some(path) = csv_path {
         csv.write(&path).expect("write csv");
         println!("wrote {path}");
     }

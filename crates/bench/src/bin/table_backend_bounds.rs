@@ -12,7 +12,7 @@
 //! much of the no-spec → oracle gap the SFC/MDT closes.
 
 use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
+    csv_path_from_args, gap_closed, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
     suite_means, CsvTable, SweepReport,
 };
 use aim_workloads::Suite;
@@ -20,6 +20,7 @@ use aim_workloads::Suite;
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let spec = specs::table_backend_bounds();
     let prepared = spec.workloads(scale);
     let (matrix, wall) = run_matrix_timed(&prepared, &spec.configs, jobs);
@@ -57,12 +58,7 @@ fn main() {
         let sfc = matrix.get(w, i_sfc).ipc() / lsq.ipc();
         let oracle = matrix.get(w, i_oracle).ipc() / lsq.ipc();
         // Fraction of the no-spec -> oracle IPC gap the SFC/MDT recovers.
-        let gap = oracle - nospec;
-        let closed = if gap > f64::EPSILON {
-            100.0 * (sfc - nospec) / gap
-        } else {
-            100.0
-        };
+        let closed = gap_closed(sfc, nospec, oracle);
         nospec_rows.push((p.suite, nospec));
         sfc_rows.push((p.suite, sfc));
         oracle_rows.push((p.suite, oracle));
@@ -100,7 +96,7 @@ fn main() {
     );
     rule(86);
     println!("expected: no-spec ≤ sfc/mdt ≤ oracle, with the SFC/MDT near the oracle (§3.1)");
-    if let Some(path) = csv_path_from_args() {
+    if let Some(path) = csv_path {
         csv.write(&path).expect("write csv");
         println!("wrote {path}");
     }

@@ -21,8 +21,9 @@
 //! or the full sets × ways × counter-width study.
 
 use aim_bench::{
-    csv_path_from_args, find_knee, grid_tiny_from_args, jobs_from_args, rule, run_matrix_timed,
-    scale_from_args, specs, CsvTable, FilterSweepReport, FilterSweepRow, KneePoint, SweepReport,
+    csv_path_from_args, find_knee, gap_closed, grid_tiny_from_args, jobs_from_args, rule,
+    run_matrix_timed, scale_from_args, specs, FilterSweepReport, FilterSweepRow, KneePoint, Report,
+    SweepReport,
 };
 use aim_pipeline::FilterStats;
 use aim_types::geomean;
@@ -33,6 +34,7 @@ const KNEE_TOLERANCE: f64 = 0.02;
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let grid = specs::filter_sweep_grid(grid_tiny_from_args());
     let spec = specs::table_filter_sweep(&grid);
     let prepared = spec.workloads(scale);
@@ -82,18 +84,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut knee_points = Vec::new();
     let mut bracket_misses = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "point",
-        "sets",
-        "ways",
-        "max_count",
-        "entries",
-        "ipc_norm",
-        "gap_closed",
-        "filter_rate",
-        "false_positive_hits",
-        "saturation_fallbacks",
-    ]);
     for (p, &(table, max_count)) in points.iter().enumerate() {
         let c = first_point + p;
         let name = &spec.configs[c].0;
@@ -118,12 +108,7 @@ fn main() {
             filter.saturation_fallbacks += k.saturation_fallbacks;
         }
         let ipc_norm = geomean(&norms);
-        let gap = oracle_gm - nospec_gm;
-        let gap_closed = if gap > f64::EPSILON {
-            100.0 * (ipc_norm - nospec_gm) / gap
-        } else {
-            100.0
-        };
+        let gap_closed = gap_closed(ipc_norm, nospec_gm, oracle_gm);
         let loads = filter.filtered_loads + filter.searched_loads;
         let filter_rate = if loads == 0 {
             0.0
@@ -140,18 +125,6 @@ fn main() {
             filter.false_positive_hits,
             filter.saturation_fallbacks,
         );
-        csv.row(&[
-            name.clone(),
-            table.sets.to_string(),
-            table.ways.to_string(),
-            max_count.to_string(),
-            table.entries().to_string(),
-            format!("{ipc_norm:.4}"),
-            format!("{gap_closed:.1}"),
-            format!("{filter_rate:.4}"),
-            filter.false_positive_hits.to_string(),
-            filter.saturation_fallbacks.to_string(),
-        ]);
         knee_points.push(KneePoint {
             name: name.clone(),
             entries: table.entries(),
@@ -186,16 +159,16 @@ fn main() {
         100.0 * b.metric,
     );
 
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
     let report = FilterSweepReport {
         artifact: spec.artifact.to_string(),
         baseline: b.name.clone(),
         knee: k.name.clone(),
         rows,
     };
+    if let Some(path) = csv_path {
+        report.write_csv(&path).expect("write csv");
+        println!("wrote {path}");
+    }
     match report.write_default() {
         Ok(path) => println!("filter sweep report — {path}"),
         Err(e) => eprintln!("filter sweep report not written: {e}"),

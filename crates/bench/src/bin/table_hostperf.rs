@@ -17,13 +17,14 @@
 
 use aim_bench::{
     csv_path_from_args, fingerprint_stats, has_flag, jobs_from_args, rule, run_matrix,
-    run_matrix_timed, run_multi_n1, scale_from_args, specs, stats_fingerprint,
-    CsvTable, HostperfReport,
+    run_matrix_timed, run_multi_n1, scale_from_args, specs, stats_fingerprint, HostperfReport,
+    Report,
 };
 
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let spec = specs::table_hostperf();
     let prepared = spec.workloads(scale);
     let (matrix, wall) = run_matrix_timed(&prepared, &spec.configs, jobs);
@@ -40,16 +41,6 @@ fn main() {
         "config", "machine", "sim kcycles", "retired k", "kcycles/s", "MIPS"
     );
     rule(78);
-    let mut csv = CsvTable::new(&[
-        "config",
-        "machine",
-        "backend",
-        "sim_cycles",
-        "retired",
-        "host_seconds",
-        "kcycles_per_sec",
-        "retired_mips",
-    ]);
     for row in &report.rows {
         println!(
             "{:<18} {:>10} | {:>12} {:>10} | {:>12.1} {:>8.3}",
@@ -60,20 +51,10 @@ fn main() {
             row.kcycles_per_sec,
             row.retired_mips,
         );
-        csv.row(&[
-            row.config.clone(),
-            row.machine.clone(),
-            row.backend.clone(),
-            row.sim_cycles.to_string(),
-            row.retired.to_string(),
-            format!("{:.6}", row.host_seconds),
-            format!("{:.1}", row.kcycles_per_sec),
-            format!("{:.3}", row.retired_mips),
-        ]);
     }
     rule(78);
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
+    if let Some(path) = csv_path {
+        report.write_csv(&path).expect("write csv");
         println!("wrote {path}");
     }
 

@@ -26,8 +26,8 @@
 //! host-throughput `SweepReport`.
 
 use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
-    suite_means, CsvTable, HybridReport, HybridRow, SweepReport,
+    csv_path_from_args, gap_closed, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
+    suite_means, HybridReport, HybridRow, Report, SweepReport,
 };
 use aim_pipeline::SimStats;
 use aim_workloads::Suite;
@@ -49,6 +49,7 @@ fn mdt_filter_rate(stats: &SimStats) -> f64 {
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let spec = specs::table_hybrid();
     let prepared = spec.workloads(scale);
     let (matrix, wall) = run_matrix_timed(&prepared, &spec.configs, jobs);
@@ -76,18 +77,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut bracket_misses = Vec::new();
     let mut rate_misses = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "benchmark",
-        "suite",
-        "lsq_ipc",
-        "nospec_norm",
-        "filtered_norm",
-        "sfc_mdt_norm",
-        "oracle_norm",
-        "gap_closed",
-        "filter_rate",
-        "mdt_filter_rate",
-    ]);
     for (w, p) in prepared.iter().enumerate() {
         let lsq = matrix.get(w, i_lsq);
         let filt_stats = matrix.get(w, i_filt);
@@ -99,12 +88,7 @@ fn main() {
         let filtered = filt_stats.ipc() / lsq.ipc();
         let sfc = matrix.get(w, i_sfc).ipc() / lsq.ipc();
         let oracle = matrix.get(w, i_oracle).ipc() / lsq.ipc();
-        let gap = oracle - nospec;
-        let closed = if gap > f64::EPSILON {
-            100.0 * (filtered - nospec) / gap
-        } else {
-            100.0
-        };
+        let closed = gap_closed(filtered, nospec, oracle);
         let filter_rate = skip_rate(f.filter.filtered_loads, f.filter.searched_loads);
         let mdt_rate = mdt_filter_rate(matrix.get(w, i_sfc));
         // Acceptance: the hybrid must sit inside the bracket (a sliver of
@@ -125,18 +109,6 @@ fn main() {
         filt_rows.push((p.suite, filtered));
         oracle_rows.push((p.suite, oracle));
         let suite = if p.suite == Suite::Int { "int" } else { "fp" };
-        csv.row(&[
-            p.name.to_string(),
-            suite.to_string(),
-            format!("{:.4}", lsq.ipc()),
-            format!("{nospec:.4}"),
-            format!("{filtered:.4}"),
-            format!("{sfc:.4}"),
-            format!("{oracle:.4}"),
-            format!("{closed:.1}"),
-            format!("{filter_rate:.4}"),
-            format!("{mdt_rate:.4}"),
-        ]);
         rows.push(HybridRow {
             workload: p.name.to_string(),
             suite: suite.to_string(),
@@ -181,15 +153,15 @@ fn main() {
         "fp avg", "", "", ns_fp, fl_fp, "", or_fp
     );
     rule(98);
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
 
     let report = HybridReport {
         artifact: spec.artifact.to_string(),
         rows,
     };
+    if let Some(path) = csv_path {
+        report.write_csv(&path).expect("write csv");
+        println!("wrote {path}");
+    }
     match report.write_default() {
         Ok(path) => println!("hybrid report — {path}"),
         Err(e) => eprintln!("hybrid report not written: {e}"),

@@ -15,25 +15,23 @@
 //! `BENCH_litmus.json` output path. `scripts/tier1.sh` runs this at a tiny
 //! schedule count and greps the `litmus: ACCEPT` line.
 
-use aim_bench::{rule, LitmusReport};
+use aim_bench::{flag_value, or_exit, rule, LitmusReport, Report};
 
-/// `--schedules N` beats `AIM_LITMUS_SCHEDULES` beats the default 200.
-fn schedules_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--schedules") {
-        return args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("--schedules needs a number"));
+/// `--schedules N` beats `env_schedules` (the `AIM_LITMUS_SCHEDULES`
+/// value; malformed is ignored, as unset) beats the default 200.
+fn parse_schedules_arg(args: &[String], env_schedules: Option<&str>) -> Result<u64, String> {
+    match flag_value(args, "--schedules", "8")? {
+        Some(v) => v.parse().map_err(|_| {
+            format!("--schedules expects a non-negative integer, got `{v}` (e.g. --schedules 8)")
+        }),
+        None => Ok(env_schedules.and_then(|v| v.parse().ok()).unwrap_or(200)),
     }
-    std::env::var("AIM_LITMUS_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
 }
 
 fn main() {
-    let schedules = schedules_from_args();
+    let args: Vec<String> = std::env::args().collect();
+    let env = std::env::var("AIM_LITMUS_SCHEDULES").ok();
+    let schedules = or_exit(parse_schedules_arg(&args, env.as_deref()));
     let report = LitmusReport::run(schedules);
 
     println!(
@@ -83,4 +81,30 @@ fn main() {
         report.rows.len(),
         report.relaxed_reachable
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn schedules_flag_errors_are_one_actionable_line() {
+        let argv = |words: &[&str]| words.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse_schedules_arg(&argv(&["bin", "--schedules", "8"]), Some("50")),
+            Ok(8)
+        );
+        assert_eq!(parse_schedules_arg(&argv(&["bin"]), Some("50")), Ok(50));
+        assert_eq!(parse_schedules_arg(&argv(&["bin"]), Some("many")), Ok(200));
+        assert_eq!(parse_schedules_arg(&argv(&["bin"]), None), Ok(200));
+        let err = parse_schedules_arg(&argv(&["bin", "--schedules", "x"]), None).unwrap_err();
+        assert!(
+            err.contains("--schedules expects a non-negative integer, got `x`"),
+            "{err}"
+        );
+        assert!(!err.contains('\n'), "error must be one line: {err:?}");
+        let err = parse_schedules_arg(&argv(&["bin", "--schedules"]), None).unwrap_err();
+        assert!(err.contains("--schedules expects a value"), "{err}");
+        assert!(!err.contains('\n'), "error must be one line: {err:?}");
+    }
 }

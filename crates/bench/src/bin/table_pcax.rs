@@ -20,14 +20,15 @@
 //! host-throughput `SweepReport`.
 
 use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
-    suite_means, CsvTable, PcaxReport, PcaxRow, SweepReport,
+    csv_path_from_args, gap_closed, jobs_from_args, rule, run_matrix_timed, scale_from_args, specs,
+    suite_means, PcaxReport, PcaxRow, Report, SweepReport,
 };
 use aim_workloads::Suite;
 
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let spec = specs::table_pcax();
     let prepared = spec.workloads(scale);
     let (matrix, wall) = run_matrix_timed(&prepared, &spec.configs, jobs);
@@ -54,18 +55,6 @@ fn main() {
     let mut oracle_rows = Vec::new();
     let mut rows = Vec::new();
     let mut bracket_misses = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "benchmark",
-        "suite",
-        "lsq_ipc",
-        "nospec_norm",
-        "pcax_norm",
-        "sfc_mdt_norm",
-        "oracle_norm",
-        "gap_closed",
-        "coverage",
-        "accuracy",
-    ]);
     for (w, p) in prepared.iter().enumerate() {
         let lsq = matrix.get(w, i_lsq);
         let pcax_stats = matrix.get(w, i_pcax);
@@ -78,12 +67,7 @@ fn main() {
         let pcax = pcax_stats.ipc() / lsq.ipc();
         let sfc = matrix.get(w, i_sfc).ipc() / lsq.ipc();
         let oracle = matrix.get(w, i_oracle).ipc() / lsq.ipc();
-        let gap = oracle - nospec;
-        let closed = if gap > f64::EPSILON {
-            100.0 * (pcax - nospec) / gap
-        } else {
-            100.0
-        };
+        let closed = gap_closed(pcax, nospec, oracle);
         // Acceptance: PCAX must sit inside the bracket (a sliver of timing
         // noise is tolerated). The ceiling is max(oracle, plain LSQ,
         // SFC/MDT): the oracle *stalls* loads behind aliasing stores
@@ -99,18 +83,6 @@ fn main() {
         pcax_rows.push((p.suite, pcax));
         oracle_rows.push((p.suite, oracle));
         let suite = if p.suite == Suite::Int { "int" } else { "fp" };
-        csv.row(&[
-            p.name.to_string(),
-            suite.to_string(),
-            format!("{:.4}", lsq.ipc()),
-            format!("{nospec:.4}"),
-            format!("{pcax:.4}"),
-            format!("{sfc:.4}"),
-            format!("{oracle:.4}"),
-            format!("{closed:.1}"),
-            format!("{:.4}", pred.coverage()),
-            format!("{:.4}", pred.accuracy()),
-        ]);
         rows.push(PcaxRow {
             workload: p.name.to_string(),
             suite: suite.to_string(),
@@ -156,15 +128,15 @@ fn main() {
         "fp avg", "", "", ns_fp, px_fp, "", or_fp
     );
     rule(100);
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
 
     let report = PcaxReport {
         artifact: spec.artifact.to_string(),
         rows,
     };
+    if let Some(path) = csv_path {
+        report.write_csv(&path).expect("write csv");
+        println!("wrote {path}");
+    }
     match report.write_default() {
         Ok(path) => println!("pcax report — {path}"),
         Err(e) => eprintln!("pcax report not written: {e}"),

@@ -19,8 +19,9 @@
 //! or the full sets × ways × threshold study.
 
 use aim_bench::{
-    csv_path_from_args, find_knee, grid_tiny_from_args, jobs_from_args, rule, run_matrix_timed,
-    scale_from_args, specs, CsvTable, KneePoint, PcaxSweepReport, PcaxSweepRow, SweepReport,
+    csv_path_from_args, find_knee, gap_closed, grid_tiny_from_args, jobs_from_args, rule,
+    run_matrix_timed, scale_from_args, specs, KneePoint, PcaxSweepReport, PcaxSweepRow, Report,
+    SweepReport,
 };
 use aim_pipeline::PcaxPredStats;
 use aim_types::geomean;
@@ -31,6 +32,7 @@ const KNEE_TOLERANCE: f64 = 0.02;
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let grid = specs::pcax_sweep_grid(grid_tiny_from_args());
     let spec = specs::table_pcax_sweep(&grid);
     let prepared = spec.workloads(scale);
@@ -78,17 +80,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut knee_points = Vec::new();
     let mut bracket_misses = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "point",
-        "sets",
-        "ways",
-        "threshold",
-        "entries",
-        "ipc_norm",
-        "gap_closed",
-        "coverage",
-        "accuracy",
-    ]);
     for (p, &(table, threshold)) in points.iter().enumerate() {
         let c = first_point + p;
         let name = &spec.configs[c].0;
@@ -120,12 +111,7 @@ fn main() {
             pred.violation_trainings += k.violation_trainings;
         }
         let ipc_norm = geomean(&norms);
-        let gap = oracle_gm - nospec_gm;
-        let gap_closed = if gap > f64::EPSILON {
-            100.0 * (ipc_norm - nospec_gm) / gap
-        } else {
-            100.0
-        };
+        let gap_closed = gap_closed(ipc_norm, nospec_gm, oracle_gm);
         println!(
             "{:<12} {:>7} | {:>8.3} {:>6.1}% | {:>5.1}% {:>5.1}% {:>10}",
             name,
@@ -136,17 +122,6 @@ fn main() {
             100.0 * pred.accuracy(),
             pred.sfc_probes_skipped,
         );
-        csv.row(&[
-            name.clone(),
-            table.sets.to_string(),
-            table.ways.to_string(),
-            threshold.to_string(),
-            table.entries().to_string(),
-            format!("{ipc_norm:.4}"),
-            format!("{gap_closed:.1}"),
-            format!("{:.4}", pred.coverage()),
-            format!("{:.4}", pred.accuracy()),
-        ]);
         knee_points.push(KneePoint {
             name: name.clone(),
             entries: table.entries(),
@@ -181,16 +156,16 @@ fn main() {
         100.0 * b.metric,
     );
 
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
     let report = PcaxSweepReport {
         artifact: spec.artifact.to_string(),
         baseline: b.name.clone(),
         knee: k.name.clone(),
         rows,
     };
+    if let Some(path) = csv_path {
+        report.write_csv(&path).expect("write csv");
+        println!("wrote {path}");
+    }
     match report.write_default() {
         Ok(path) => println!("pcax sweep report — {path}"),
         Err(e) => eprintln!("pcax sweep report not written: {e}"),

@@ -11,27 +11,11 @@
 //! that the matrix was routed through the shared `aim-serve` cache and
 //! that a warm replay of the same cells ran zero simulations.
 //!
-//! ```json
-//! {
-//!   "schema": "aim-farmem-report/v1",
-//!   "artifact": "table_far_mem",
-//!   "scale": "full", "workers": 8,
-//!   "cold_sims": 320, "warm_hits": 320, "warm_sims": 0,
-//!   "rows": [
-//!     {
-//!       "workload": "gzip", "suite": "int", "machine": "huge",
-//!       "window": 4096, "far_latency": 800, "lsq_ipc": 1.2,
-//!       "nospec_norm": 0.7, "cam_norm": 0.6, "sfc_mdt_norm": 1.9,
-//!       "pcax_norm": 1.9, "oracle_norm": 1.9,
-//!       "cam_gap_closed": 25.0, "sfc_gap_closed": 99.0,
-//!       "pcax_gap_closed": 98.5, "far_accesses": 1200,
-//!       "far_coalesced": 300, "far_overflow": 4, "far_peak_inflight": 64
-//!     }
-//!   ]
-//! }
-//! ```
+//! It renders through the shared [`Report`] writer;
+//! `tests/golden/farmem.golden.json` pins its layout.
 
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
+use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
 /// One (workload × machine class × far latency) cell of the far-memory
@@ -96,77 +80,43 @@ pub struct FarMemReport {
     pub rows: Vec<FarMemRow>,
 }
 
-impl FarMemReport {
-    /// Renders the report as `aim-farmem-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.rows.len() * 420);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-farmem-report/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"cold_sims\": {},\n", self.cold_sims));
-        out.push_str(&format!("  \"warm_hits\": {},\n", self.warm_hits));
-        out.push_str(&format!("  \"warm_sims\": {},\n", self.warm_sims));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"suite\": \"{}\", \"machine\": \"{}\", \
-                 \"window\": {}, \"far_latency\": {}, \"lsq_ipc\": {}, \
-                 \"nospec_norm\": {}, \"cam_norm\": {}, \"sfc_mdt_norm\": {}, \
-                 \"pcax_norm\": {}, \"oracle_norm\": {}, \"cam_gap_closed\": {}, \
-                 \"sfc_gap_closed\": {}, \"pcax_gap_closed\": {}, \
-                 \"far_accesses\": {}, \"far_coalesced\": {}, \
-                 \"far_overflow\": {}, \"far_peak_inflight\": {}}}",
-                json_escape(&r.workload),
-                json_escape(&r.suite),
-                json_escape(&r.machine),
-                r.window,
-                r.far_latency,
-                json_number(r.lsq_ipc),
-                json_number(r.nospec_norm),
-                json_number(r.cam_norm),
-                json_number(r.sfc_mdt_norm),
-                json_number(r.pcax_norm),
-                json_number(r.oracle_norm),
-                json_number(r.cam_gap_closed),
-                json_number(r.sfc_gap_closed),
-                json_number(r.pcax_gap_closed),
-                r.far_accesses,
-                r.far_coalesced,
-                r.far_overflow,
-                r.far_peak_inflight,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for FarMemReport {
+    const SCHEMA: &'static str = "aim-farmem-report/v1";
+    const FILE: &'static str = "BENCH_farmem.json";
+    type Row = FarMemRow;
+
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", &self.artifact)
+            .put_str("scale", self.scale.token())
+            .put_u64("workers", self.workers as u64)
+            .put_u64("cold_sims", self.cold_sims)
+            .put_u64("warm_hits", self.warm_hits)
+            .put_u64("warm_sims", self.warm_sims);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[FarMemRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_FARMEM_JSON` if
-    /// set, else `BENCH_farmem.json` in the working directory — and
-    /// returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_FARMEM_JSON").unwrap_or_else(|_| "BENCH_farmem.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &FarMemRow, m: &mut WireMsg) {
+        m.put_str("workload", &r.workload)
+            .put_str("suite", &r.suite)
+            .put_str("machine", &r.machine)
+            .put_u64("window", r.window)
+            .put_u64("far_latency", r.far_latency)
+            .put_f64("lsq_ipc", r.lsq_ipc)
+            .put_f64("nospec_norm", r.nospec_norm)
+            .put_f64("cam_norm", r.cam_norm)
+            .put_f64("sfc_mdt_norm", r.sfc_mdt_norm)
+            .put_f64("pcax_norm", r.pcax_norm)
+            .put_f64("oracle_norm", r.oracle_norm)
+            .put_f64("cam_gap_closed", r.cam_gap_closed)
+            .put_f64("sfc_gap_closed", r.sfc_gap_closed)
+            .put_f64("pcax_gap_closed", r.pcax_gap_closed)
+            .put_u64("far_accesses", r.far_accesses)
+            .put_u64("far_coalesced", r.far_coalesced)
+            .put_u64("far_overflow", r.far_overflow)
+            .put_u64("far_peak_inflight", r.far_peak_inflight);
     }
 }
 

@@ -16,8 +16,9 @@
 //! [`run_matrix`](crate::run_matrix) worker pool as every other artifact
 //! and parallelize across `--jobs`.
 
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
 use aim_core::{SetHash, TableGeometry};
+use aim_types::wire::WireMsg;
 
 /// A cartesian sets × ways × knob grid over one tagged table.
 ///
@@ -67,22 +68,27 @@ impl GeometryGrid {
     }
 }
 
-/// Parses `--grid tiny|full` from the command line (default `full`) — the
-/// sweep bins' switch between the CI-sized 2×2 grid and the full study.
+/// Extracts `--grid tiny|full` from an argument list (default `full`) —
+/// the sweep bins' switch between the CI-sized 2×2 grid (`true`) and the
+/// full study.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown grid name.
+/// Returns a one-line message when `--grid` has no value or an unknown
+/// one.
+pub fn parse_grid_arg(args: &[String]) -> Result<bool, String> {
+    match crate::flag_value(args, "--grid", "tiny")? {
+        Some("tiny") => Ok(true),
+        Some("full") | None => Ok(false),
+        Some(other) => Err(format!("--grid: unknown grid `{other}` (tiny|full)")),
+    }
+}
+
+/// Parses `--grid` from the command line (see [`parse_grid_arg`]); a
+/// malformed flag exits through [`or_exit`](crate::or_exit).
 pub fn grid_tiny_from_args() -> bool {
     let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--grid") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("tiny") => true,
-            Some("full") | None => false,
-            Some(other) => panic!("unknown grid `{other}` (tiny|full)"),
-        },
-        None => false,
-    }
+    crate::or_exit(parse_grid_arg(&args))
 }
 
 /// One swept point reduced to what the knee search needs.
@@ -175,66 +181,32 @@ pub struct PcaxSweepReport {
     pub rows: Vec<PcaxSweepRow>,
 }
 
-impl PcaxSweepReport {
-    /// Renders the report as `aim-pcax-sweep/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 240);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-pcax-sweep/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str(&format!(
-            "  \"baseline\": \"{}\",\n",
-            json_escape(&self.baseline)
-        ));
-        out.push_str(&format!("  \"knee\": \"{}\",\n", json_escape(&self.knee)));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"point\": \"{}\", \"sets\": {}, \"ways\": {}, \
-                 \"threshold\": {}, \"entries\": {}, \"ipc_norm\": {}, \
-                 \"gap_closed\": {}, \"coverage\": {}, \"accuracy\": {}, \
-                 \"sfc_probes_skipped\": {}}}",
-                json_escape(&r.point),
-                r.sets,
-                r.ways,
-                r.threshold,
-                r.entries,
-                json_number(r.ipc_norm),
-                json_number(r.gap_closed),
-                json_number(r.coverage),
-                json_number(r.accuracy),
-                r.sfc_probes_skipped,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for PcaxSweepReport {
+    const SCHEMA: &'static str = "aim-pcax-sweep/v1";
+    const FILE: &'static str = "BENCH_pcax_sweep.json";
+    type Row = PcaxSweepRow;
+
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", &self.artifact)
+            .put_str("baseline", &self.baseline)
+            .put_str("knee", &self.knee);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[PcaxSweepRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_PCAX_SWEEP_JSON`
-    /// if set, else `BENCH_pcax_sweep.json` in the working directory — and
-    /// returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path = std::env::var("AIM_PCAX_SWEEP_JSON")
-            .unwrap_or_else(|_| "BENCH_pcax_sweep.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &PcaxSweepRow, m: &mut WireMsg) {
+        m.put_str("point", &r.point)
+            .put_u64("sets", r.sets as u64)
+            .put_u64("ways", r.ways as u64)
+            .put_u64("threshold", r.threshold.into())
+            .put_u64("entries", r.entries as u64)
+            .put_f64("ipc_norm", r.ipc_norm)
+            .put_f64("gap_closed", r.gap_closed)
+            .put_f64("coverage", r.coverage)
+            .put_f64("accuracy", r.accuracy)
+            .put_u64("sfc_probes_skipped", r.sfc_probes_skipped);
     }
 }
 
@@ -277,66 +249,32 @@ pub struct FilterSweepReport {
     pub rows: Vec<FilterSweepRow>,
 }
 
-impl FilterSweepReport {
-    /// Renders the report as `aim-filter-sweep/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 240);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-filter-sweep/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str(&format!(
-            "  \"baseline\": \"{}\",\n",
-            json_escape(&self.baseline)
-        ));
-        out.push_str(&format!("  \"knee\": \"{}\",\n", json_escape(&self.knee)));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"point\": \"{}\", \"sets\": {}, \"ways\": {}, \
-                 \"max_count\": {}, \"entries\": {}, \"ipc_norm\": {}, \
-                 \"gap_closed\": {}, \"filter_rate\": {}, \
-                 \"false_positive_hits\": {}, \"saturation_fallbacks\": {}}}",
-                json_escape(&r.point),
-                r.sets,
-                r.ways,
-                r.max_count,
-                r.entries,
-                json_number(r.ipc_norm),
-                json_number(r.gap_closed),
-                json_number(r.filter_rate),
-                r.false_positive_hits,
-                r.saturation_fallbacks,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for FilterSweepReport {
+    const SCHEMA: &'static str = "aim-filter-sweep/v1";
+    const FILE: &'static str = "BENCH_filter_sweep.json";
+    type Row = FilterSweepRow;
+
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", &self.artifact)
+            .put_str("baseline", &self.baseline)
+            .put_str("knee", &self.knee);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[FilterSweepRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_FILTER_SWEEP_JSON`
-    /// if set, else `BENCH_filter_sweep.json` in the working directory —
-    /// and returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path = std::env::var("AIM_FILTER_SWEEP_JSON")
-            .unwrap_or_else(|_| "BENCH_filter_sweep.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &FilterSweepRow, m: &mut WireMsg) {
+        m.put_str("point", &r.point)
+            .put_u64("sets", r.sets as u64)
+            .put_u64("ways", r.ways as u64)
+            .put_u64("max_count", r.max_count.into())
+            .put_u64("entries", r.entries as u64)
+            .put_f64("ipc_norm", r.ipc_norm)
+            .put_f64("gap_closed", r.gap_closed)
+            .put_f64("filter_rate", r.filter_rate)
+            .put_u64("false_positive_hits", r.false_positive_hits)
+            .put_u64("saturation_fallbacks", r.saturation_fallbacks);
     }
 }
 
@@ -413,6 +351,28 @@ mod tests {
     }
 
     #[test]
+    fn grid_flag_defaults_to_full() {
+        assert!(!grid_tiny_from_args());
+    }
+
+    #[test]
+    fn grid_flag_errors_are_one_actionable_line() {
+        let argv = |words: &[&str]| words.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_grid_arg(&argv(&["bin", "--grid", "tiny"])), Ok(true));
+        assert_eq!(parse_grid_arg(&argv(&["bin", "--grid", "full"])), Ok(false));
+        assert_eq!(
+            parse_grid_arg(&argv(&["bin", "--scale", "tiny"])),
+            Ok(false)
+        );
+        let err = parse_grid_arg(&argv(&["bin", "--grid", "huge"])).unwrap_err();
+        assert!(err.contains("unknown grid `huge` (tiny|full)"), "{err}");
+        assert!(!err.contains('\n'), "error must be one line: {err:?}");
+        let err = parse_grid_arg(&argv(&["bin", "--grid"])).unwrap_err();
+        assert!(err.contains("--grid expects a value"), "{err}");
+        assert!(!err.contains('\n'), "error must be one line: {err:?}");
+    }
+
+    #[test]
     fn pcax_sweep_json_renders_schema_and_balances() {
         let report = PcaxSweepReport {
             artifact: "table_pcax_sweep".to_string(),
@@ -465,10 +425,5 @@ mod tests {
         assert!(json.contains("\"saturation_fallbacks\": 3"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn grid_flag_defaults_to_full() {
-        assert!(!grid_tiny_from_args());
     }
 }

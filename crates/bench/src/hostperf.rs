@@ -17,35 +17,13 @@
 //! single worker and rejects if the fingerprints diverge (jobs=N ≡ jobs=1
 //! determinism).
 //!
-//! Emitted JSON (`aim-hostperf-report/v1`, hand-written — no serde in the
-//! offline build):
-//!
-//! ```json
-//! {
-//!   "schema": "aim-hostperf-report/v1",
-//!   "artifact": "table_hostperf",
-//!   "scale": "small",
-//!   "jobs": 1,
-//!   "wall_seconds": 2.345678,
-//!   "stats_fingerprint": "0x1234abcd5678ef90",
-//!   "rows": [
-//!     {
-//!       "config": "base-sfc-mdt-enf",
-//!       "machine": "baseline",
-//!       "backend": "sfc-mdt-enf",
-//!       "sim_cycles": 1933440,
-//!       "retired": 1100000,
-//!       "host_seconds": 0.14,
-//!       "kcycles_per_sec": 13810.3,
-//!       "retired_mips": 7.857
-//!     }
-//!   ]
-//! }
-//! ```
+//! The report renders in the `aim-hostperf-report/v1` schema through the
+//! shared [`Report`] writer; `tests/golden/hostperf.golden.json` pins its
+//! layout.
 
-use crate::sweep::{json_escape, json_number};
-use crate::Matrix;
+use crate::{Matrix, Report};
 use aim_pipeline::{MachineClass, SimConfig};
+use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
 /// One backend × machine-class row, aggregated over every workload.
@@ -186,65 +164,37 @@ impl HostperfReport {
             rows,
         }
     }
+}
 
-    /// Renders the report as `aim-hostperf-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 200);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-hostperf-report/v1\",\n");
-        out.push_str("  \"artifact\": \"table_hostperf\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "  \"wall_seconds\": {},\n",
-            json_number(self.wall_seconds)
-        ));
-        out.push_str(&format!(
-            "  \"stats_fingerprint\": \"{:#018x}\",\n",
-            self.stats_fingerprint
-        ));
-        out.push_str("  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"config\": \"{}\", \"machine\": \"{}\", \"backend\": \"{}\", \
-                 \"sim_cycles\": {}, \"retired\": {}, \"host_seconds\": {}, \
-                 \"kcycles_per_sec\": {}, \"retired_mips\": {}}}",
-                json_escape(&row.config),
-                json_escape(&row.machine),
-                json_escape(&row.backend),
-                row.sim_cycles,
-                row.retired,
-                json_number(row.host_seconds),
-                json_number(row.kcycles_per_sec),
-                json_number(row.retired_mips),
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for HostperfReport {
+    const SCHEMA: &'static str = "aim-hostperf-report/v1";
+    const FILE: &'static str = "BENCH_hostperf.json";
+    type Row = HostperfRow;
+
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", "table_hostperf")
+            .put_str("scale", self.scale.token())
+            .put_u64("jobs", self.jobs as u64)
+            .put_f64("wall_seconds", self.wall_seconds)
+            .put_str(
+                "stats_fingerprint",
+                &format!("{:#018x}", self.stats_fingerprint),
+            );
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[HostperfRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_HOSTPERF_JSON` if
-    /// set, else `BENCH_hostperf.json` in the working directory — and
-    /// returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path = std::env::var("AIM_HOSTPERF_JSON")
-            .unwrap_or_else(|_| "BENCH_hostperf.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &HostperfRow, m: &mut WireMsg) {
+        m.put_str("config", &r.config)
+            .put_str("machine", &r.machine)
+            .put_str("backend", &r.backend)
+            .put_u64("sim_cycles", r.sim_cycles)
+            .put_u64("retired", r.retired)
+            .put_f64("host_seconds", r.host_seconds)
+            .put_f64("kcycles_per_sec", r.kcycles_per_sec)
+            .put_f64("retired_mips", r.retired_mips);
     }
 }
 

@@ -8,24 +8,11 @@
 //! checks (filter rate vs the §4 MDT filter, IPC inside the
 //! no-spec → oracle bracket) can be asserted by scripts, not eyeballs.
 //!
-//! ```json
-//! {
-//!   "schema": "aim-hybrid-report/v1",
-//!   "artifact": "table_hybrid",
-//!   "rows": [
-//!     {
-//!       "workload": "gzip", "suite": "int", "lsq_ipc": 1.8,
-//!       "nospec_norm": 0.9, "filtered_norm": 1.0, "sfc_mdt_norm": 0.99,
-//!       "oracle_norm": 1.01, "gap_closed": 95.0,
-//!       "filtered_loads": 180, "searched_loads": 20, "filter_rate": 0.9,
-//!       "false_positive_hits": 3, "saturation_fallbacks": 0,
-//!       "mdt_filter_rate": 0.85
-//!     }
-//!   ]
-//! }
-//! ```
+//! It renders through the shared [`Report`] writer;
+//! `tests/golden/hybrid.golden.json` pins its layout.
 
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
+use aim_types::wire::WireMsg;
 
 /// One workload's row of the hybrid comparison.
 #[derive(Debug, Clone)]
@@ -70,67 +57,34 @@ pub struct HybridReport {
     pub rows: Vec<HybridRow>,
 }
 
-impl HybridReport {
-    /// Renders the report as `aim-hybrid-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 320);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-hybrid-report/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"suite\": \"{}\", \"lsq_ipc\": {}, \
-                 \"nospec_norm\": {}, \"filtered_norm\": {}, \"sfc_mdt_norm\": {}, \
-                 \"oracle_norm\": {}, \"gap_closed\": {}, \"filtered_loads\": {}, \
-                 \"searched_loads\": {}, \"filter_rate\": {}, \
-                 \"false_positive_hits\": {}, \"saturation_fallbacks\": {}, \
-                 \"mdt_filter_rate\": {}}}",
-                json_escape(&r.workload),
-                json_escape(&r.suite),
-                json_number(r.lsq_ipc),
-                json_number(r.nospec_norm),
-                json_number(r.filtered_norm),
-                json_number(r.sfc_mdt_norm),
-                json_number(r.oracle_norm),
-                json_number(r.gap_closed),
-                r.filtered_loads,
-                r.searched_loads,
-                json_number(r.filter_rate),
-                r.false_positive_hits,
-                r.saturation_fallbacks,
-                json_number(r.mdt_filter_rate),
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for HybridReport {
+    const SCHEMA: &'static str = "aim-hybrid-report/v1";
+    const FILE: &'static str = "BENCH_hybrid.json";
+    type Row = HybridRow;
+
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", &self.artifact);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[HybridRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_HYBRID_JSON` if
-    /// set, else `BENCH_hybrid.json` in the working directory — and
-    /// returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_HYBRID_JSON").unwrap_or_else(|_| "BENCH_hybrid.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &HybridRow, m: &mut WireMsg) {
+        m.put_str("workload", &r.workload)
+            .put_str("suite", &r.suite)
+            .put_f64("lsq_ipc", r.lsq_ipc)
+            .put_f64("nospec_norm", r.nospec_norm)
+            .put_f64("filtered_norm", r.filtered_norm)
+            .put_f64("sfc_mdt_norm", r.sfc_mdt_norm)
+            .put_f64("oracle_norm", r.oracle_norm)
+            .put_f64("gap_closed", r.gap_closed)
+            .put_u64("filtered_loads", r.filtered_loads)
+            .put_u64("searched_loads", r.searched_loads)
+            .put_f64("filter_rate", r.filter_rate)
+            .put_u64("false_positive_hits", r.false_positive_hits)
+            .put_u64("saturation_fallbacks", r.saturation_fallbacks)
+            .put_f64("mdt_filter_rate", r.mdt_filter_rate);
     }
 }
 

@@ -15,22 +15,32 @@
 //! | `table_filter` | §4 MDT search-filter study |
 //! | `table_filter_sweep` | filter sets/ways/counter-width knee (à la §5 sizing) |
 //! | `table_hybrid` | §4 filtered-LSQ hybrid vs the backend bounds |
-//! | `table_far_mem` | far-memory latency × window-size sweep (in `aim-serve`, cache-routed) |
+//! | `table_backend_bounds` | SFC/MDT inside the no-spec → oracle bracket |
 //! | `table_pcax` | PC-indexed classification backend vs the backend bounds |
 //! | `table_pcax_sweep` | PCAX table sets/ways/threshold knee (à la §5 sizing) |
 //! | `table_power` | §5 activity/power proxy counts |
 //! | `table_window_sweep` | §3.3 instruction-window scaling |
+//! | `table_hostperf` | host throughput per backend × machine class, stats fingerprint gate |
+//! | `table_litmus` | litmus outcomes per backend contained in the reference model |
 //! | `calibrate` | IPC sanity check of the two backends |
 //!
-//! Shared flags: `--scale tiny|small|full` (default `full`) and
+//! Two more bins live in `aim-serve` because they route their cells
+//! through the job server's cache: `table_far_mem` (far-memory latency ×
+//! window-size sweep) and `table_sampled` (sampled vs full-detail
+//! convergence).
+//!
+//! Shared flags: `--scale tiny|small|full|huge` (default `full`) and
 //! `--jobs N` (worker threads for the sweep; `0`/absent defers to the
-//! `AIM_JOBS` environment variable, then to the host's parallelism).
+//! `AIM_JOBS` environment variable, then to the host's parallelism). A
+//! malformed flag prints one `error:` line and exits with status 2.
 //!
 //! Every binary routes its (workload × config) sweep through
 //! [`run_matrix`], which fans independent simulations across OS threads
 //! with deterministic result ordering, and emits a host-throughput
 //! [`SweepReport`] (`BENCH_sweep.json`) alongside its human-readable
-//! output.
+//! output. Every report, that one included, renders through the one
+//! [`Report`] writer; the bins that write a table report also take
+//! `--csv <path>` and write the same rows there.
 
 use aim_isa::{Interpreter, Program, Trace};
 use aim_pipeline::{simulate_with_trace, SimConfig, SimStats};
@@ -44,6 +54,7 @@ mod hybrid;
 mod litmus;
 mod matrix;
 mod pcax;
+mod report;
 mod sampled;
 mod serve_report;
 pub mod specs;
@@ -54,8 +65,8 @@ pub use cache_key::{
 };
 pub use farmem::{FarMemReport, FarMemRow};
 pub use geometry_sweep::{
-    find_knee, grid_tiny_from_args, FilterSweepReport, FilterSweepRow, GeometryGrid, Knee,
-    KneePoint, PcaxSweepReport, PcaxSweepRow,
+    find_knee, grid_tiny_from_args, parse_grid_arg, FilterSweepReport, FilterSweepRow,
+    GeometryGrid, Knee, KneePoint, PcaxSweepReport, PcaxSweepRow,
 };
 pub use hostperf::{
     fingerprint_stats, fingerprint_text, fingerprint_texts, stats_fingerprint,
@@ -65,6 +76,7 @@ pub use hybrid::{HybridReport, HybridRow};
 pub use litmus::{LitmusReport, LitmusRow};
 pub use matrix::{run_matrix, run_matrix_timed, Matrix};
 pub use pcax::{PcaxReport, PcaxRow};
+pub use report::{render_report, Report};
 pub use sampled::{SampledReport, SampledRow};
 pub use serve_report::{ServeReport, ServeRound};
 pub use sweep::{SweepReport, SweepRow};
@@ -143,18 +155,55 @@ pub fn run_multi_n1(p: &Prepared, cfg: &SimConfig) -> SimStats {
     stats.per_core.into_iter().next().expect("one core ran")
 }
 
-/// Parses `--scale tiny|small|full|huge` from the command line (default
+/// The value following `flag` in an argument list: `Ok(None)` when the
+/// flag is absent.
+///
+/// # Errors
+///
+/// Returns ``{flag} expects a value (e.g. {flag} {example})`` when the
+/// flag is the last argument.
+pub fn flag_value<'a>(
+    args: &'a [String],
+    flag: &str,
+    example: &str,
+) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        Some(i) => match args.get(i + 1) {
+            Some(value) => Ok(Some(value)),
+            None => Err(format!("{flag} expects a value (e.g. {flag} {example})")),
+        },
+        None => Ok(None),
+    }
+}
+
+/// The parsed value, or — for a malformed command line — one `error:`
+/// line on stderr and exit status 2 (no panic, no backtrace).
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2);
+    })
+}
+
+/// Extracts `--scale tiny|small|full|huge` from an argument list (default
 /// `full`).
+///
+/// # Errors
+///
+/// Returns a one-line message when `--scale` has no value or an unknown
+/// one.
+pub fn parse_scale_arg(args: &[String]) -> Result<Scale, String> {
+    match flag_value(args, "--scale", "tiny")? {
+        Some(token) => token.parse().map_err(|e| format!("--scale: {e}")),
+        None => Ok(Scale::Full),
+    }
+}
+
+/// Parses `--scale` from the command line (see [`parse_scale_arg`]); a
+/// malformed flag exits through [`or_exit`].
 pub fn scale_from_args() -> Scale {
     let args: Vec<String> = std::env::args().collect();
-    match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(token) => token.parse().unwrap_or_else(|e| panic!("{e}")),
-        None => Scale::Full,
-    }
+    or_exit(parse_scale_arg(&args))
 }
 
 /// Whether a `--flag` is present on the command line.
@@ -194,40 +243,29 @@ pub fn resolve_jobs_with(requested: usize, env_jobs: Option<&str>) -> usize {
 /// Returns a one-line, actionable message — never panics — when `--jobs`
 /// is present without a value or with a non-integer value.
 pub fn parse_jobs_arg(args: &[String]) -> Result<usize, String> {
-    match args.iter().position(|a| a == "--jobs") {
-        Some(i) => match args.get(i + 1) {
-            Some(s) => s.parse().map_err(|_| {
-                format!("--jobs expects a non-negative integer, got `{s}` (e.g. --jobs 4; 0 defers to AIM_JOBS, then auto-detection)")
-            }),
-            None => Err("--jobs expects a value (e.g. --jobs 4; 0 defers to AIM_JOBS, then auto-detection)".to_string()),
-        },
+    const EXAMPLE: &str = "4; 0 defers to AIM_JOBS, then auto-detection";
+    match flag_value(args, "--jobs", EXAMPLE)? {
+        Some(s) => s.parse().map_err(|_| {
+            format!("--jobs expects a non-negative integer, got `{s}` (e.g. --jobs {EXAMPLE})")
+        }),
         None => Ok(0),
     }
 }
 
 /// Parses `--jobs N` from the command line and resolves it via
 /// [`resolve_jobs`] (so `--jobs 0`, `AIM_JOBS`, and auto-detection all
-/// behave identically across the experiment binaries).
-///
-/// A malformed `--jobs` prints one actionable line on stderr and exits
-/// with status 2 — no panic, no backtrace.
+/// behave identically across the experiment binaries). A malformed
+/// `--jobs` exits through [`or_exit`].
 pub fn jobs_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
-    match parse_jobs_arg(&args) {
-        Ok(requested) => resolve_jobs(requested),
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    }
+    resolve_jobs(or_exit(parse_jobs_arg(&args)))
 }
 
-/// Parses `--csv <path>` from the command line, if present.
+/// Parses `--csv <path>` from the command line, if present; a `--csv`
+/// without a path exits through [`or_exit`].
 pub fn csv_path_from_args() -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1).cloned())
+    or_exit(flag_value(&args, "--csv", "out.csv")).map(str::to_string)
 }
 
 /// A minimal CSV emitter for the figure harnesses (numbers and plain names
@@ -257,6 +295,18 @@ impl CsvTable {
     /// Propagates the underlying I/O error.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.lines.join("\n") + "\n")
+    }
+}
+
+/// Percent of the no-spec → oracle IPC gap that `x` closes (`nospec`,
+/// `x` and `oracle` on the same normalization). A gap of at most
+/// `f64::EPSILON` counts as fully closed.
+pub fn gap_closed(x: f64, nospec: f64, oracle: f64) -> f64 {
+    let gap = oracle - nospec;
+    if gap > f64::EPSILON {
+        100.0 * (x - nospec) / gap
+    } else {
+        100.0
     }
 }
 
@@ -334,6 +384,32 @@ mod tests {
         let err = parse_jobs_arg(&argv(&["bin", "--jobs"])).unwrap_err();
         assert!(err.contains("--jobs expects a value"), "{err}");
         assert!(!err.contains('\n'), "error must be one line: {err:?}");
+    }
+
+    #[test]
+    fn scale_flag_errors_are_one_actionable_line() {
+        let argv = |words: &[&str]| words.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse_scale_arg(&argv(&["bin", "--scale", "tiny"])),
+            Ok(Scale::Tiny)
+        );
+        assert_eq!(
+            parse_scale_arg(&argv(&["bin", "--jobs", "2"])),
+            Ok(Scale::Full)
+        );
+        let err = parse_scale_arg(&argv(&["bin", "--scale", "bogus"])).unwrap_err();
+        assert!(err.contains("unknown scale `bogus`"), "{err}");
+        assert!(!err.contains('\n'), "error must be one line: {err:?}");
+        let err = parse_scale_arg(&argv(&["bin", "--scale"])).unwrap_err();
+        assert!(err.contains("--scale expects a value"), "{err}");
+        assert!(!err.contains('\n'), "error must be one line: {err:?}");
+    }
+
+    #[test]
+    fn gap_closed_is_the_share_of_the_bracket() {
+        assert!((gap_closed(0.9, 0.8, 1.0) - 50.0).abs() < 1e-9);
+        assert!((gap_closed(0.7, 0.8, 1.0) + 50.0).abs() < 1e-9);
+        assert_eq!(gap_closed(0.9, 1.0, 1.0), 100.0);
     }
 
     #[test]

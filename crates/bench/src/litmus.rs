@@ -10,34 +10,17 @@
 //! sibling before retirement (or own-store forwarding broke), and the
 //! binary rejects.
 //!
-//! Emitted JSON (`aim-litmus-report/v1`, hand-written — no serde in the
-//! offline build):
-//!
-//! ```json
-//! {
-//!   "schema": "aim-litmus-report/v1",
-//!   "artifact": "table_litmus",
-//!   "schedules": 200,
-//!   "relaxed_reachable": true,
-//!   "wall_seconds": 1.234567,
-//!   "rows": [
-//!     {
-//!       "test": "SB",
-//!       "backend": "sfc-mdt",
-//!       "allowed_outcomes": 3,
-//!       "observed_outcomes": 2,
-//!       "contained": true
-//!     }
-//!   ]
-//! }
-//! ```
+//! The report renders in the `aim-litmus-report/v1` schema through the
+//! shared [`Report`] writer; `tests/golden/litmus.golden.json` pins its
+//! layout.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
 use aim_isa::{allowed_outcomes, litmus_suite, RefLimits};
 use aim_pipeline::{run_litmus, BackendChoice, CoreSchedule, MachineClass, SimConfig};
+use aim_types::wire::WireMsg;
 
 /// One (litmus test, backend) cell of the report.
 #[derive(Debug, Clone)]
@@ -126,60 +109,30 @@ impl LitmusReport {
     pub fn all_contained(&self) -> bool {
         self.rows.iter().all(|r| r.contained)
     }
+}
 
-    /// Renders the report as `aim-litmus-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 140);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-litmus-report/v1\",\n");
-        out.push_str("  \"artifact\": \"table_litmus\",\n");
-        out.push_str(&format!("  \"schedules\": {},\n", self.schedules));
-        out.push_str(&format!(
-            "  \"relaxed_reachable\": {},\n",
-            self.relaxed_reachable
-        ));
-        out.push_str(&format!(
-            "  \"wall_seconds\": {},\n",
-            json_number(self.wall_seconds)
-        ));
-        out.push_str("  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"test\": \"{}\", \"backend\": \"{}\", \"allowed_outcomes\": {}, \
-                 \"observed_outcomes\": {}, \"contained\": {}}}",
-                json_escape(&row.test),
-                json_escape(&row.backend),
-                row.allowed_outcomes,
-                row.observed_outcomes,
-                row.contained,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for LitmusReport {
+    const SCHEMA: &'static str = "aim-litmus-report/v1";
+    const FILE: &'static str = "BENCH_litmus.json";
+    type Row = LitmusRow;
+
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", "table_litmus")
+            .put_u64("schedules", self.schedules)
+            .put_bool("relaxed_reachable", self.relaxed_reachable)
+            .put_f64("wall_seconds", self.wall_seconds);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[LitmusRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_LITMUS_JSON` if
-    /// set, else `BENCH_litmus.json` in the working directory — and returns
-    /// the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_LITMUS_JSON").unwrap_or_else(|_| "BENCH_litmus.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &LitmusRow, m: &mut WireMsg) {
+        m.put_str("test", &r.test)
+            .put_str("backend", &r.backend)
+            .put_u64("allowed_outcomes", r.allowed_outcomes as u64)
+            .put_u64("observed_outcomes", r.observed_outcomes as u64)
+            .put_bool("contained", r.contained);
     }
 }
 

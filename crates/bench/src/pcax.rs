@@ -7,24 +7,11 @@
 //! no-spec → oracle bracket, prediction coverage and accuracy) can be
 //! asserted by scripts, not eyeballs.
 //!
-//! ```json
-//! {
-//!   "schema": "aim-pcax-report/v1",
-//!   "artifact": "table_pcax",
-//!   "rows": [
-//!     {
-//!       "workload": "gzip", "suite": "int", "lsq_ipc": 1.8,
-//!       "nospec_norm": 0.9, "pcax_norm": 1.0, "sfc_mdt_norm": 0.99,
-//!       "oracle_norm": 1.01, "gap_closed": 95.0,
-//!       "loads_no_alias": 120, "loads_forward": 40, "loads_unknown": 40,
-//!       "coverage": 0.8, "accuracy": 0.95,
-//!       "sfc_probes_skipped": 118, "forward_wait_replays": 7
-//!     }
-//!   ]
-//! }
-//! ```
+//! It renders through the shared [`Report`] writer;
+//! `tests/golden/pcax.golden.json` pins its layout.
 
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
+use aim_types::wire::WireMsg;
 
 /// One workload's row of the PCAX comparison.
 #[derive(Debug, Clone)]
@@ -70,67 +57,35 @@ pub struct PcaxReport {
     pub rows: Vec<PcaxRow>,
 }
 
-impl PcaxReport {
-    /// Renders the report as `aim-pcax-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 360);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-pcax-report/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"suite\": \"{}\", \"lsq_ipc\": {}, \
-                 \"nospec_norm\": {}, \"pcax_norm\": {}, \"sfc_mdt_norm\": {}, \
-                 \"oracle_norm\": {}, \"gap_closed\": {}, \"loads_no_alias\": {}, \
-                 \"loads_forward\": {}, \"loads_unknown\": {}, \"coverage\": {}, \
-                 \"accuracy\": {}, \"sfc_probes_skipped\": {}, \
-                 \"forward_wait_replays\": {}}}",
-                json_escape(&r.workload),
-                json_escape(&r.suite),
-                json_number(r.lsq_ipc),
-                json_number(r.nospec_norm),
-                json_number(r.pcax_norm),
-                json_number(r.sfc_mdt_norm),
-                json_number(r.oracle_norm),
-                json_number(r.gap_closed),
-                r.loads_no_alias,
-                r.loads_forward,
-                r.loads_unknown,
-                json_number(r.coverage),
-                json_number(r.accuracy),
-                r.sfc_probes_skipped,
-                r.forward_wait_replays,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for PcaxReport {
+    const SCHEMA: &'static str = "aim-pcax-report/v1";
+    const FILE: &'static str = "BENCH_pcax.json";
+    type Row = PcaxRow;
+
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", &self.artifact);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[PcaxRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_PCAX_JSON` if
-    /// set, else `BENCH_pcax.json` in the working directory — and returns
-    /// the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path = std::env::var("AIM_PCAX_JSON").unwrap_or_else(|_| "BENCH_pcax.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &PcaxRow, m: &mut WireMsg) {
+        m.put_str("workload", &r.workload)
+            .put_str("suite", &r.suite)
+            .put_f64("lsq_ipc", r.lsq_ipc)
+            .put_f64("nospec_norm", r.nospec_norm)
+            .put_f64("pcax_norm", r.pcax_norm)
+            .put_f64("sfc_mdt_norm", r.sfc_mdt_norm)
+            .put_f64("oracle_norm", r.oracle_norm)
+            .put_f64("gap_closed", r.gap_closed)
+            .put_u64("loads_no_alias", r.loads_no_alias)
+            .put_u64("loads_forward", r.loads_forward)
+            .put_u64("loads_unknown", r.loads_unknown)
+            .put_f64("coverage", r.coverage)
+            .put_f64("accuracy", r.accuracy)
+            .put_u64("sfc_probes_skipped", r.sfc_probes_skipped)
+            .put_u64("forward_wait_replays", r.forward_wait_replays);
     }
 }
 

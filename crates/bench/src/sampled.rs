@@ -13,28 +13,11 @@
 //! record that full and sampled cells are distinct content-addressed
 //! cache entries and that a warm replay ran zero simulations.
 //!
-//! ```json
-//! {
-//!   "schema": "aim-sampled-report/v1",
-//!   "artifact": "table_sampled",
-//!   "scale": "huge", "workers": 8,
-//!   "cold_sims": 40, "warm_hits": 40, "warm_sims": 0,
-//!   "machine": "huge", "window": 4096, "far_latency": 800,
-//!   "worst_err_pct": -6.6, "speedup": 11.2,
-//!   "rows": [
-//!     {
-//!       "workload": "gzip", "suite": "int", "trace_len": 2363615,
-//!       "warm_insts": 208112, "detail_insts": 6714, "periods": 11,
-//!       "full_ipc": 7.06, "sampled_ipc": 7.11, "err_pct": 0.78,
-//!       "periods_run": 11, "detail_pct": 3.1,
-//!       "full_wall_ns": 2400000000, "sampled_wall_ns": 210000000,
-//!       "speedup": 11.4
-//!     }
-//!   ]
-//! }
-//! ```
+//! It renders through the shared [`Report`] writer;
+//! `tests/golden/sampled.golden.json` pins its layout.
 
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
+use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
 /// One kernel of the sampled-convergence sweep: the full-detail truth,
@@ -105,82 +88,44 @@ pub struct SampledReport {
     pub rows: Vec<SampledRow>,
 }
 
-impl SampledReport {
-    /// Renders the report as `aim-sampled-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.rows.len() * 360);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-sampled-report/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"cold_sims\": {},\n", self.cold_sims));
-        out.push_str(&format!("  \"warm_hits\": {},\n", self.warm_hits));
-        out.push_str(&format!("  \"warm_sims\": {},\n", self.warm_sims));
-        out.push_str(&format!(
-            "  \"machine\": \"{}\",\n",
-            json_escape(&self.machine)
-        ));
-        out.push_str(&format!("  \"window\": {},\n", self.window));
-        out.push_str(&format!("  \"far_latency\": {},\n", self.far_latency));
-        out.push_str(&format!(
-            "  \"worst_err_pct\": {},\n",
-            json_number(self.worst_err_pct)
-        ));
-        out.push_str(&format!("  \"speedup\": {},\n", json_number(self.speedup)));
-        out.push_str("  \"rows\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"suite\": \"{}\", \"trace_len\": {}, \
-                 \"warm_insts\": {}, \"detail_insts\": {}, \"periods\": {}, \
-                 \"full_ipc\": {}, \"sampled_ipc\": {}, \"err_pct\": {}, \
-                 \"periods_run\": {}, \"detail_pct\": {}, \"full_wall_ns\": {}, \
-                 \"sampled_wall_ns\": {}, \"speedup\": {}}}",
-                json_escape(&r.workload),
-                json_escape(&r.suite),
-                r.trace_len,
-                r.warm_insts,
-                r.detail_insts,
-                r.periods,
-                json_number(r.full_ipc),
-                json_number(r.sampled_ipc),
-                json_number(r.err_pct),
-                r.periods_run,
-                json_number(r.detail_pct),
-                r.full_wall_ns,
-                r.sampled_wall_ns,
-                json_number(r.speedup),
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for SampledReport {
+    const SCHEMA: &'static str = "aim-sampled-report/v1";
+    const FILE: &'static str = "BENCH_sampled.json";
+    type Row = SampledRow;
+
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", &self.artifact)
+            .put_str("scale", self.scale.token())
+            .put_u64("workers", self.workers as u64)
+            .put_u64("cold_sims", self.cold_sims)
+            .put_u64("warm_hits", self.warm_hits)
+            .put_u64("warm_sims", self.warm_sims)
+            .put_str("machine", &self.machine)
+            .put_u64("window", self.window)
+            .put_u64("far_latency", self.far_latency)
+            .put_f64("worst_err_pct", self.worst_err_pct)
+            .put_f64("speedup", self.speedup);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[SampledRow] {
+        &self.rows
     }
 
-    /// Writes the report to the default location — `$AIM_SAMPLED_JSON` if
-    /// set, else `BENCH_sampled.json` in the working directory — and
-    /// returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_SAMPLED_JSON").unwrap_or_else(|_| "BENCH_sampled.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &SampledRow, m: &mut WireMsg) {
+        m.put_str("workload", &r.workload)
+            .put_str("suite", &r.suite)
+            .put_u64("trace_len", r.trace_len)
+            .put_u64("warm_insts", r.warm_insts)
+            .put_u64("detail_insts", r.detail_insts)
+            .put_u64("periods", r.periods.into())
+            .put_f64("full_ipc", r.full_ipc)
+            .put_f64("sampled_ipc", r.sampled_ipc)
+            .put_f64("err_pct", r.err_pct)
+            .put_u64("periods_run", r.periods_run.into())
+            .put_f64("detail_pct", r.detail_pct)
+            .put_u64("full_wall_ns", r.full_wall_ns)
+            .put_u64("sampled_wall_ns", r.sampled_wall_ns)
+            .put_f64("speedup", r.speedup);
     }
 }
 
@@ -228,4 +173,3 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }
-

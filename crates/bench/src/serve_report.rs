@@ -8,33 +8,11 @@
 //! entries evicted, verify-mode recomputations, worker-pool utilization,
 //! and the warm/cold wall-time ratio the cache exists to deliver.
 //!
-//! Emitted JSON (hand-written — no serde in the offline build):
-//!
-//! ```json
-//! {
-//!   "schema": "aim-serve-report/v1",
-//!   "artifact": "aim_serve",
-//!   "scale": "tiny",
-//!   "workers": 4,
-//!   "clients": 4,
-//!   "requests": 510,
-//!   "cache_hits": 240,
-//!   "cache_misses": 240,
-//!   "dedup_waits": 0,
-//!   "sims_run": 270,
-//!   "corrupt_evictions": 0,
-//!   "verified": 30,
-//!   "verify_mismatches": 0,
-//!   "worker_utilization": 0.82,
-//!   "warm_speedup": 104.6,
-//!   "rounds": [
-//!     {"label": "cold", "cells": 240, "wall_seconds": 2.1,
-//!      "sims_run": 240, "cache_hits": 0}
-//!   ]
-//! }
-//! ```
+//! The report renders through the shared [`Report`] writer, with its rounds
+//! under `rounds`; `tests/golden/serve.golden.json` pins its layout.
 
-use crate::sweep::{json_escape, json_number};
+use crate::Report;
+use aim_types::wire::WireMsg;
 use aim_workloads::Scale;
 
 /// One replay round's aggregate outcome.
@@ -86,67 +64,39 @@ pub struct ServeReport {
     pub rounds: Vec<ServeRound>,
 }
 
-impl ServeReport {
-    /// Renders the report as `aim-serve-report/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.rounds.len() * 120);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-serve-report/v1\",\n");
-        out.push_str("  \"artifact\": \"aim_serve\",\n");
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"clients\": {},\n", self.clients));
-        out.push_str(&format!("  \"requests\": {},\n", self.requests));
-        out.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
-        out.push_str(&format!("  \"cache_misses\": {},\n", self.cache_misses));
-        out.push_str(&format!("  \"dedup_waits\": {},\n", self.dedup_waits));
-        out.push_str(&format!("  \"sims_run\": {},\n", self.sims_run));
-        out.push_str(&format!("  \"corrupt_evictions\": {},\n", self.corrupt_evictions));
-        out.push_str(&format!("  \"verified\": {},\n", self.verified));
-        out.push_str(&format!("  \"verify_mismatches\": {},\n", self.verify_mismatches));
-        out.push_str(&format!(
-            "  \"worker_utilization\": {},\n",
-            json_number(self.worker_utilization)
-        ));
-        out.push_str(&format!("  \"warm_speedup\": {},\n", json_number(self.warm_speedup)));
-        out.push_str("  \"rounds\": [");
-        for (i, round) in self.rounds.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"cells\": {}, \"wall_seconds\": {}, \
-                 \"sims_run\": {}, \"cache_hits\": {}}}",
-                json_escape(&round.label),
-                round.cells,
-                json_number(round.wall_seconds),
-                round.sims_run,
-                round.cache_hits,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+impl Report for ServeReport {
+    const SCHEMA: &'static str = "aim-serve-report/v1";
+    const FILE: &'static str = "BENCH_serve.json";
+    const LIST_KEY: &'static str = "rounds";
+    type Row = ServeRound;
+
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", "aim_serve")
+            .put_str("scale", self.scale.token())
+            .put_u64("workers", self.workers as u64)
+            .put_u64("clients", self.clients as u64)
+            .put_u64("requests", self.requests)
+            .put_u64("cache_hits", self.cache_hits)
+            .put_u64("cache_misses", self.cache_misses)
+            .put_u64("dedup_waits", self.dedup_waits)
+            .put_u64("sims_run", self.sims_run)
+            .put_u64("corrupt_evictions", self.corrupt_evictions)
+            .put_u64("verified", self.verified)
+            .put_u64("verify_mismatches", self.verify_mismatches)
+            .put_f64("worker_utilization", self.worker_utilization)
+            .put_f64("warm_speedup", self.warm_speedup);
     }
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    fn rows(&self) -> &[ServeRound] {
+        &self.rounds
     }
 
-    /// Writes the report to the default location — `$AIM_SERVE_JSON` if
-    /// set, else `BENCH_serve.json` in the working directory — and returns
-    /// the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".to_string());
-        self.write(&path)?;
-        Ok(path)
+    fn row(r: &ServeRound, m: &mut WireMsg) {
+        m.put_str("label", &r.label)
+            .put_u64("cells", r.cells)
+            .put_f64("wall_seconds", r.wall_seconds)
+            .put_u64("sims_run", r.sims_run)
+            .put_u64("cache_hits", r.cache_hits);
     }
 }
 

@@ -5,31 +5,12 @@
 //! sweep wall time and the worker count — so performance regressions in the
 //! simulator itself show up in CI artifacts, not just in patience.
 //!
-//! The emitted JSON is hand-written (no serde in the offline build) against
-//! the `aim-bench-sweep/v1` schema:
-//!
-//! ```json
-//! {
-//!   "schema": "aim-bench-sweep/v1",
-//!   "artifact": "fig5_baseline",
-//!   "jobs": 8,
-//!   "wall_seconds": 12.345678,
-//!   "rows": [
-//!     {
-//!       "workload": "gzip",
-//!       "config": "sfc-mdt-enf",
-//!       "sim_cycles": 193344,
-//!       "retired": 110000,
-//!       "host_seconds": 0.014,
-//!       "kcycles_per_sec": 13810.3,
-//!       "retired_mips": 7.857
-//!     }
-//!   ]
-//! }
-//! ```
+//! The report renders in the `aim-bench-sweep/v1` schema through the shared
+//! [`Report`] writer; `tests/golden/sweep.golden.json` pins its layout.
 
-use crate::{Matrix, Prepared};
+use crate::{Matrix, Prepared, Report};
 use aim_pipeline::SimConfig;
+use aim_types::wire::WireMsg;
 
 /// One (workload, config) cell of a sweep report.
 #[derive(Debug, Clone)]
@@ -94,40 +75,6 @@ impl SweepReport {
         }
     }
 
-    /// Renders the report as `aim-bench-sweep/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 160);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"aim-bench-sweep/v1\",\n");
-        out.push_str(&format!(
-            "  \"artifact\": \"{}\",\n",
-            json_escape(&self.artifact)
-        ));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "  \"wall_seconds\": {},\n",
-            json_number(self.wall_seconds)
-        ));
-        out.push_str("  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"sim_cycles\": {}, \
-                 \"retired\": {}, \"host_seconds\": {}, \"kcycles_per_sec\": {}, \
-                 \"retired_mips\": {}}}",
-                json_escape(&row.workload),
-                json_escape(&row.config),
-                row.sim_cycles,
-                row.retired,
-                json_number(row.host_seconds),
-                json_number(row.kcycles_per_sec),
-                json_number(row.retired_mips),
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
     /// Folds another section's rows and wall time into this report (for
     /// binaries that run several flag-gated matrices in one invocation).
     pub fn merge(&mut self, other: SweepReport) {
@@ -148,51 +95,32 @@ impl SweepReport {
             Err(e) => eprintln!("sweep report not written: {e}"),
         }
     }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Writes the report to the default location — `$AIM_SWEEP_JSON` if
-    /// set, else `BENCH_sweep.json` in the working directory — and returns
-    /// the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var("AIM_SWEEP_JSON").unwrap_or_else(|_| "BENCH_sweep.json".to_string());
-        self.write(&path)?;
-        Ok(path)
-    }
 }
 
-/// JSON numbers may not be NaN/infinite; degenerate rates render as 0.
-pub(crate) fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.000000".to_string()
-    }
-}
+impl Report for SweepReport {
+    const SCHEMA: &'static str = "aim-bench-sweep/v1";
+    const FILE: &'static str = "BENCH_sweep.json";
+    type Row = SweepRow;
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    fn header(&self, h: &mut WireMsg) {
+        h.put_str("artifact", &self.artifact)
+            .put_u64("jobs", self.jobs as u64)
+            .put_f64("wall_seconds", self.wall_seconds);
     }
-    out
+
+    fn rows(&self) -> &[SweepRow] {
+        &self.rows
+    }
+
+    fn row(r: &SweepRow, m: &mut WireMsg) {
+        m.put_str("workload", &r.workload)
+            .put_str("config", &r.config)
+            .put_u64("sim_cycles", r.sim_cycles)
+            .put_u64("retired", r.retired)
+            .put_f64("host_seconds", r.host_seconds)
+            .put_f64("kcycles_per_sec", r.kcycles_per_sec)
+            .put_f64("retired_mips", r.retired_mips);
+    }
 }
 
 #[cfg(test)]
@@ -201,10 +129,30 @@ mod tests {
 
     #[test]
     fn json_escaping_and_number_hygiene() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("tab\there"), "tab\\u0009here");
-        assert_eq!(json_number(f64::NAN), "0.000000");
-        assert_eq!(json_number(1.5), "1.500000");
+        // Strings go through the wire's one escaper and floats through its
+        // number format: six decimals, non-finite rates rendered as 0.
+        let report = SweepReport {
+            artifact: "a\"b\\c\tz".to_string(),
+            jobs: 1,
+            wall_seconds: f64::NAN,
+            rows: vec![SweepRow {
+                workload: "gzip".to_string(),
+                config: "lsq".to_string(),
+                sim_cycles: u64::MAX,
+                retired: 0,
+                host_seconds: 1.5,
+                kcycles_per_sec: f64::INFINITY,
+                retired_mips: -0.25,
+            }],
+        };
+        assert_eq!(
+            report.to_json(),
+            "{\n  \"schema\": \"aim-bench-sweep/v1\",\n  \"artifact\": \"a\\\"b\\\\c\\u0009z\",\n  \
+             \"jobs\": 1,\n  \"wall_seconds\": 0.000000,\n  \"rows\": [\n    {\"workload\": \"gzip\", \
+             \"config\": \"lsq\", \"sim_cycles\": 18446744073709551615, \"retired\": 0, \
+             \"host_seconds\": 1.500000, \"kcycles_per_sec\": 0.000000, \"retired_mips\": -0.250000}\n  \
+             ]\n}\n"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! thread counts, every artifact's spec matrix at tiny scale, and the
 //! allocation-free (no event-string) untraced hot path.
 
-use aim_bench::{prepare_all, run_matrix, run_matrix_timed, specs, SweepReport};
+use aim_bench::{prepare_all, run_matrix, run_matrix_timed, specs, Report, SweepReport};
 use aim_pipeline::{BackendChoice, MachineClass, simulate_traced, simulate_with_trace, SimConfig};
 use aim_predictor::EnforceMode;
 use aim_workloads::Scale;

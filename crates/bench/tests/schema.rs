@@ -1,7 +1,8 @@
 //! Golden-file schema tests: the machine-readable reports downstream
 //! tooling parses (`BENCH_sweep.json`, `BENCH_hybrid.json`,
 //! `BENCH_pcax.json`, `BENCH_pcax_sweep.json`, `BENCH_filter_sweep.json`,
-//! `BENCH_hostperf.json`, `BENCH_litmus.json`, `BENCH_farmem.json`) must
+//! `BENCH_hostperf.json`, `BENCH_litmus.json`, `BENCH_farmem.json`,
+//! `BENCH_sampled.json`, `BENCH_serve.json`) must
 //! keep a byte-stable
 //! serialization for a
 //! fixed input. Any field added, removed, renamed, or reordered shows up
@@ -11,7 +12,8 @@
 use aim_bench::{
     FarMemReport, FarMemRow, FilterSweepReport, FilterSweepRow, HostperfReport, HostperfRow,
     HybridReport, HybridRow, LitmusReport, LitmusRow, PcaxReport, PcaxRow, PcaxSweepReport,
-    PcaxSweepRow, SampledReport, SampledRow, ServeReport, ServeRound, SweepReport, SweepRow,
+    PcaxSweepRow, Report, SampledReport, SampledRow, ServeReport, ServeRound, SweepReport,
+    SweepRow,
 };
 use aim_workloads::Scale;
 

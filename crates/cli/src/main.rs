@@ -2,6 +2,7 @@
 
 use std::process::ExitCode;
 
+use aim_bench::Report;
 use aim_cli::{
     build_config, compare_column, parse_args, report, BackendChoice, Command, LitmusArgs, RunArgs,
     ServeArgs, SubmitArgs, USAGE,

@@ -28,8 +28,8 @@
 //! `aim-farmem-report/v1` JSON (`BENCH_farmem.json`).
 
 use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, scale_from_args, specs, CsvTable, FarMemReport,
-    FarMemRow,
+    csv_path_from_args, gap_closed, jobs_from_args, rule, scale_from_args, specs, FarMemReport,
+    FarMemRow, Report,
 };
 use aim_serve::{farmem_configs, parse_far_stats, run_cells, JobResponse, JobSpec, Server};
 use aim_types::geomean;
@@ -56,6 +56,7 @@ fn ipc(resp: &JobResponse) -> f64 {
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let spec = specs::table_far_mem();
     let configs = farmem_configs();
     assert_eq!(configs.len(), CELLS.len() * COLS, "cell layout drifted");
@@ -98,22 +99,6 @@ fn main() {
     // Per huge cell: (cam, sfc, pcax) retention vs the 256×256 upper
     // bound, for the scaling acceptance claim.
     let mut huge_rets: Vec<(f64, f64, f64)> = Vec::new();
-    let mut csv = CsvTable::new(&[
-        "workload",
-        "suite",
-        "machine",
-        "window",
-        "far_latency",
-        "lsq_ipc",
-        "nospec_norm",
-        "cam_norm",
-        "sfc_mdt_norm",
-        "pcax_norm",
-        "oracle_norm",
-        "cam_gap_closed",
-        "sfc_gap_closed",
-        "pcax_gap_closed",
-    ]);
 
     for (c, &(tag, lat)) in CELLS.iter().enumerate() {
         let base = c * COLS;
@@ -136,8 +121,7 @@ fn main() {
             let norm = |k: usize| ipc(resp(w, base + k)) / lsq_ipc;
             let (nospec, cam, sfc, pcax, oracle) =
                 (norm(0), norm(1), norm(3), norm(4), norm(5));
-            let gap = oracle - nospec;
-            let closed = |x: f64| if gap > f64::EPSILON { 100.0 * (x - nospec) / gap } else { 100.0 };
+            let closed = |x: f64| gap_closed(x, nospec, oracle);
             let (cam_closed, sfc_closed, pcax_closed) = (closed(cam), closed(sfc), closed(pcax));
             // Acceptance: every real backend inside the bracket. The
             // ceiling is max(oracle, LSQ, SFC/MDT) as in `table_pcax`:
@@ -168,22 +152,6 @@ fn main() {
             norm_rows[1].push(sfc);
             norm_rows[2].push(pcax);
             let suite_tok = if suite == Suite::Int { "int" } else { "fp" };
-            csv.row(&[
-                name.to_string(),
-                suite_tok.to_string(),
-                tag.to_string(),
-                window.to_string(),
-                lat.to_string(),
-                format!("{lsq_ipc:.4}"),
-                format!("{nospec:.4}"),
-                format!("{cam:.4}"),
-                format!("{sfc:.4}"),
-                format!("{pcax:.4}"),
-                format!("{oracle:.4}"),
-                format!("{cam_closed:.1}"),
-                format!("{sfc_closed:.1}"),
-                format!("{pcax_closed:.1}"),
-            ]);
             rows.push(FarMemRow {
                 workload: name.to_string(),
                 suite: suite_tok.to_string(),
@@ -238,10 +206,6 @@ fn main() {
         }
     }
 
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
     let report = FarMemReport {
         artifact: spec.artifact.to_string(),
         scale,
@@ -251,6 +215,10 @@ fn main() {
         warm_sims,
         rows,
     };
+    if let Some(path) = csv_path {
+        report.write_csv(&path).expect("write csv");
+        println!("wrote {path}");
+    }
     match report.write_default() {
         Ok(path) => println!("farmem report — {path}"),
         Err(e) => eprintln!("farmem report not written: {e}"),

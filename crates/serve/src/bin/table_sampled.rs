@@ -32,7 +32,7 @@
 //! `aim-sampled-report/v1` JSON (`BENCH_sampled.json`).
 
 use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, scale_from_args, CsvTable, SampledReport, SampledRow,
+    csv_path_from_args, jobs_from_args, rule, scale_from_args, Report, SampledReport, SampledRow,
 };
 use aim_pipeline::{BackendChoice, FarSpec, MachineClass};
 use aim_serve::{
@@ -68,6 +68,7 @@ fn ipc(resp: &JobResponse) -> f64 {
 fn main() {
     let scale = scale_from_args();
     let jobs = jobs_from_args();
+    let csv_path = csv_path_from_args();
     let far = Some(FarSpec::new(FAR_LATENCY, 64, 8));
     let full_spec = ConfigSpec { far, ..ConfigSpec::new(MachineClass::Huge, BackendChoice::SfcMdt) };
     let window = full_spec.to_config().rob_entries as u64;
@@ -131,19 +132,6 @@ fn main() {
     let mut misses: Vec<String> = Vec::new();
     let mut worst = 0.0f64;
     let (mut full_wall, mut samp_wall) = (0u64, 0u64);
-    let mut csv = CsvTable::new(&[
-        "workload",
-        "suite",
-        "trace_len",
-        "full_ipc",
-        "sampled_ipc",
-        "err_pct",
-        "periods_run",
-        "detail_pct",
-        "full_wall_ns",
-        "sampled_wall_ns",
-        "speedup",
-    ]);
 
     for (w, p) in prepared.iter().enumerate() {
         let (full_resp, samp_resp) = (&cold[2 * w], &cold[2 * w + 1]);
@@ -213,19 +201,6 @@ fn main() {
             sw as f64 / 1e6,
             speedup
         );
-        csv.row(&[
-            p.name.to_string(),
-            suite_tok.to_string(),
-            p.trace.len().to_string(),
-            format!("{full_ipc:.4}"),
-            format!("{samp_ipc:.4}"),
-            format!("{err:.2}"),
-            sampled.periods_run.to_string(),
-            format!("{detail_pct:.2}"),
-            fw.to_string(),
-            sw.to_string(),
-            format!("{speedup:.2}"),
-        ]);
         rows.push(SampledRow {
             workload: p.name.to_string(),
             suite: suite_tok.to_string(),
@@ -252,10 +227,6 @@ fn main() {
     );
     rule(118);
 
-    if let Some(path) = csv_path_from_args() {
-        csv.write(&path).expect("write csv");
-        println!("wrote {path}");
-    }
     let report = SampledReport {
         artifact: "table_sampled".to_string(),
         scale,
@@ -270,6 +241,10 @@ fn main() {
         speedup,
         rows,
     };
+    if let Some(path) = csv_path {
+        report.write_csv(&path).expect("write csv");
+        println!("wrote {path}");
+    }
     match report.write_default() {
         Ok(path) => println!("sampled report — {path}"),
         Err(e) => eprintln!("sampled report not written: {e}"),

@@ -109,6 +109,23 @@ pub enum WireValue {
     Bool(bool),
 }
 
+impl WireValue {
+    /// Appends the value's JSON text: strings quoted and escaped (see
+    /// [`write_json_str`]), floats at six decimals with non-finite values
+    /// as `0.000000` (JSON has no NaN or infinity), integers and booleans
+    /// as themselves. Every wire message and every artifact report spells
+    /// its values through this one rule.
+    pub fn write_json(&self, out: &mut String) {
+        match self {
+            WireValue::Str(s) => write_json_str(s, out),
+            WireValue::U64(n) => out.push_str(&n.to_string()),
+            WireValue::F64(x) if x.is_finite() => out.push_str(&format!("{x:.6}")),
+            WireValue::F64(_) => out.push_str("0.000000"),
+            WireValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        }
+    }
+}
+
 /// A flat JSON object: ordered `(key, value)` pairs, serialized in
 /// insertion order so renderings are byte-stable.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -149,6 +166,11 @@ impl WireMsg {
     /// Every field name, in message order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.fields.iter().map(|(k, _)| k.as_str())
+    }
+
+    /// Every `(key, value)` pair, in message order.
+    pub fn fields(&self) -> impl Iterator<Item = (&str, &WireValue)> {
+        self.fields.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// The first value stored under `key`, if any.
@@ -199,20 +221,9 @@ impl WireMsg {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            escape_into(key, &mut out);
-            out.push_str("\":");
-            match value {
-                WireValue::Str(s) => {
-                    out.push('"');
-                    escape_into(s, &mut out);
-                    out.push('"');
-                }
-                WireValue::U64(n) => out.push_str(&n.to_string()),
-                WireValue::F64(x) if x.is_finite() => out.push_str(&format!("{x:.6}")),
-                WireValue::F64(_) => out.push_str("0.000000"),
-                WireValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            }
+            write_json_str(key, &mut out);
+            out.push(':');
+            value.write_json(&mut out);
         }
         out.push('}');
         out
@@ -374,7 +385,12 @@ impl Parser<'_> {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string: `"` and `\` are backslash-escaped
+/// and control characters become `\u00XX`; everything else, non-ASCII
+/// text included, is copied as is. This is the workspace's one JSON string
+/// escaper.
+pub fn write_json_str(s: &str, out: &mut String) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -383,6 +399,7 @@ fn escape_into(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 /// One direction of an in-memory byte pipe.

@@ -39,11 +39,26 @@ echo "== tier1: EXPERIMENTS.md carries the backend gap-closed table =="
 grep -q '| backend | int gap closed | fp gap closed |' EXPERIMENTS.md
 
 # The PCAX table is an acceptance gate: the run asserts pcax stays inside
-# the no-spec..oracle bracket and must print its acceptance line.
-echo "== tier1: table_pcax acceptance (tiny scale) =="
-AIM_PCAX_JSON="$(mktemp)" AIM_SWEEP_JSON="$(mktemp)" \
-  cargo run --release -q -p aim-bench --bin table_pcax -- --scale tiny \
+# the no-spec..oracle bracket and must print its acceptance line. Its
+# --csv export comes from the report's own rows, so the CSV must hold a
+# header plus one line per kernel (one per JSON row), and the header must
+# be the key order of the report's first row line.
+echo "== tier1: table_pcax acceptance (tiny scale) and one column list for JSON and CSV =="
+PCAX_JSON="$(mktemp)"
+PCAX_CSV="$(mktemp)"
+AIM_PCAX_JSON="$PCAX_JSON" AIM_SWEEP_JSON="$(mktemp)" \
+  cargo run --release -q -p aim-bench --bin table_pcax -- --scale tiny --csv "$PCAX_CSV" \
   | grep -q 'acceptance: pcax inside the bracket'
+PCAX_ROWS="$(grep -c '^    {' "$PCAX_JSON")"
+if [ "$PCAX_ROWS" -eq 0 ] || [ "$(wc -l < "$PCAX_CSV")" -ne $((PCAX_ROWS + 1)) ]; then
+  echo "table_pcax --csv: expected a header plus $PCAX_ROWS kernel lines" >&2
+  exit 1
+fi
+PCAX_KEYS="$(grep -m1 '^    {' "$PCAX_JSON" | grep -o '"[a-z_]*":' | tr -d '":' | paste -sd, -)"
+if [ "$(head -n1 "$PCAX_CSV")" != "$PCAX_KEYS" ]; then
+  echo "table_pcax --csv header differs from the report's row keys ($PCAX_KEYS)" >&2
+  exit 1
+fi
 
 # The geometry sweeps are acceptance gates too: each run asserts every
 # swept point stays inside the no-spec..oracle bracket and must locate and
