@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use aim_isa::Interpreter;
 use aim_lsq::LsqConfig;
-use aim_pipeline::{BackendChoice, MachineClass, simulate_with_trace, SimConfig};
+use aim_pipeline::{BackendChoice, Machine, MachineClass, SimConfig};
 use aim_predictor::EnforceMode;
 use aim_workloads::{by_name, Scale};
 
@@ -41,7 +41,7 @@ fn pipeline_throughput(c: &mut Criterion) {
                 BenchmarkId::new(*name, kernel),
                 &(&w.program, &trace, cfg),
                 |b, (program, trace, cfg)| {
-                    b.iter(|| black_box(simulate_with_trace(program, trace, cfg).unwrap()))
+                    b.iter(|| black_box(Machine::new(program, trace, SimConfig::clone(cfg)).run().unwrap()))
                 },
             );
         }

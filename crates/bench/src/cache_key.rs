@@ -10,10 +10,9 @@
 //!   image, code base), so a workload edit or a different [`Scale`]
 //!   invalidates its entries;
 //! * **canonicalized [`SimConfig`]** — every architectural knob, with the
-//!   pure observability knobs ([`SimConfig::event_trace`],
-//!   [`SimConfig::pipeview`], [`SimConfig::paranoid`]) normalized away:
-//!   they change what the host records, never what the machine computes
-//!   (the `table_hostperf` fingerprint gate relies on the same fact);
+//!   integrity-check knob [`SimConfig::paranoid`] normalized away: it
+//!   changes what the host checks, never what the machine computes (the
+//!   `table_hostperf` fingerprint gate relies on the same fact);
 //! * **code-version string** — [`CODE_VERSION`], bumped whenever a change
 //!   anywhere in the simulator can alter any statistic. The stats
 //!   fingerprint in `BENCH_hostperf.json` changes on exactly those
@@ -31,9 +30,10 @@ use aim_pipeline::SimConfig;
 use core::fmt;
 
 /// The cache's code-version string. Bump on any change that can alter any
-/// architectural statistic anywhere in the simulator (the same commits
-/// that change the `table_hostperf` stats fingerprint); stale entries are
-/// then simply never found, which is the only safe failure mode.
+/// architectural statistic anywhere in the simulator: the same commits
+/// that change the `table_hostperf` stats fingerprint, which
+/// `scripts/tier1.sh` pins. Stale entries are then simply never found,
+/// which is the only safe failure mode.
 pub const CODE_VERSION: &str = "aim-sim-2026-08/1";
 
 /// A 128-bit content address: two independent FNV-1a streams over the same
@@ -80,15 +80,13 @@ pub fn program_text(program: &Program) -> String {
 }
 
 /// The canonical text of a configuration: the `Debug` rendering of the
-/// config with its observability knobs normalized to their defaults.
+/// config with [`SimConfig::paranoid`] normalized to its default.
 /// Everything else — machine width and window, backend family and every
 /// structure geometry, predictor mode, cache hierarchy, recovery policies,
 /// seeds, instruction budget — stays in the text, so flipping any of them
 /// changes the key.
 pub fn canonical_config_text(cfg: &SimConfig) -> String {
     let mut canon = cfg.clone();
-    canon.event_trace = false;
-    canon.pipeview = false;
     canon.paranoid = false;
     format!("{canon:?}")
 }
@@ -99,17 +97,33 @@ pub fn cache_key(program: &Program, cfg: &SimConfig, code_version: &str) -> Cach
     cache_key_of_texts(&program_text(program), &canonical_config_text(cfg), code_version)
 }
 
-/// [`cache_key`] over already-rendered canonical texts (the server renders
-/// the program text once per kernel and reuses it across configs).
+/// [`cache_key`] over already-rendered canonical texts.
 pub fn cache_key_of_texts(program_text: &str, config_text: &str, code_version: &str) -> CacheKey {
-    let feed = |offset: u64| {
-        let h = fnv1a(offset, code_version.bytes());
-        let h = fnv1a(h, [0u8].into_iter());
-        let h = fnv1a(h, program_text.bytes());
-        let h = fnv1a(h, [0u8].into_iter());
-        fnv1a(h, config_text.bytes())
-    };
-    CacheKey([feed(FNV_OFFSET), feed(FNV_OFFSET ^ SECOND_STREAM_SALT)])
+    KeyPrefix::new(program_text, code_version).key(config_text)
+}
+
+/// The two hash streams after `code_version ‖ 0 ‖ program_text ‖ 0`: every
+/// key of one (program, code version) continues from here over the config
+/// text alone, so a server hashes each program once, not once per request.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyPrefix([u64; 2]);
+
+impl KeyPrefix {
+    /// Hashes the key text up to the config.
+    pub fn new(program_text: &str, code_version: &str) -> KeyPrefix {
+        let feed = |offset: u64| {
+            let h = fnv1a(offset, code_version.bytes());
+            let h = fnv1a(h, [0u8].into_iter());
+            let h = fnv1a(h, program_text.bytes());
+            fnv1a(h, [0u8].into_iter())
+        };
+        KeyPrefix([feed(FNV_OFFSET), feed(FNV_OFFSET ^ SECOND_STREAM_SALT)])
+    }
+
+    /// The key of this prefix followed by `config_text`.
+    pub fn key(&self, config_text: &str) -> CacheKey {
+        CacheKey(self.0.map(|h| fnv1a(h, config_text.bytes())))
+    }
 }
 
 #[cfg(test)]
@@ -147,17 +161,25 @@ mod tests {
     }
 
     #[test]
-    fn observability_knobs_do_not_feed_the_key() {
+    fn paranoid_checks_do_not_feed_the_key() {
         let p = program("gzip", Scale::Tiny);
         let plain = SimConfig::machine(MachineClass::Baseline).build();
         let mut noisy = plain.clone();
-        noisy.event_trace = true;
-        noisy.pipeview = true;
         noisy.paranoid = true;
         assert_eq!(canonical_config_text(&plain), canonical_config_text(&noisy));
         assert_eq!(
             cache_key(&p, &plain, CODE_VERSION),
             cache_key(&p, &noisy, CODE_VERSION)
+        );
+    }
+
+    /// Keys recorded before the program prefix was memoized: the split
+    /// must not move a single bit.
+    #[test]
+    fn key_bytes_are_pinned() {
+        assert_eq!(
+            cache_key_of_texts("ab", "c", "v"),
+            CacheKey([13_049_424_068_381_677_133, 10_214_625_284_772_107_716])
         );
     }
 

@@ -43,7 +43,7 @@
 //! `--csv <path>` and write the same rows there.
 
 use aim_isa::{Interpreter, Program, Trace};
-use aim_pipeline::{simulate_with_trace, SimConfig, SimStats};
+use aim_pipeline::{Machine, SimConfig, SimStats};
 use aim_workloads::{Scale, Suite, Workload};
 
 mod cache_key;
@@ -61,7 +61,8 @@ pub mod specs;
 mod sweep;
 
 pub use cache_key::{
-    cache_key, cache_key_of_texts, canonical_config_text, program_text, CacheKey, CODE_VERSION,
+    cache_key, cache_key_of_texts, canonical_config_text, program_text, CacheKey, KeyPrefix,
+    CODE_VERSION,
 };
 pub use farmem::{FarMemReport, FarMemRow};
 pub use geometry_sweep::{
@@ -134,7 +135,7 @@ pub fn prepare(w: Workload, scale: Scale) -> Prepared {
 /// Panics on validation or deadlock errors — the harness treats simulator
 /// failures as fatal.
 pub fn run(p: &Prepared, cfg: &SimConfig) -> SimStats {
-    simulate_with_trace(&p.program, &p.trace, cfg)
+    Machine::new(&p.program, &p.trace, cfg.clone()).run()
         .unwrap_or_else(|e| panic!("{} under {}: {e}", p.name, cfg.backend.name()))
 }
 

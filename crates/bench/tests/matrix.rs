@@ -1,9 +1,9 @@
 //! Integration tests for the parallel sweep runner: determinism across
-//! thread counts, every artifact's spec matrix at tiny scale, and the
-//! allocation-free (no event-string) untraced hot path.
+//! thread counts, every artifact's spec matrix at tiny scale, and a probed
+//! run simulating exactly what the plain run does.
 
 use aim_bench::{prepare_all, run_matrix, run_matrix_timed, specs, Report, SweepReport};
-use aim_pipeline::{BackendChoice, MachineClass, simulate_traced, simulate_with_trace, SimConfig};
+use aim_pipeline::{BackendChoice, EventLog, Machine, MachineClass, SimConfig};
 use aim_predictor::EnforceMode;
 use aim_workloads::Scale;
 
@@ -86,27 +86,26 @@ fn named_config_lookup_panics_on_unknown() {
     assert!(err.is_err());
 }
 
+/// Observing a run never changes it: the `()` probe and an [`EventLog`]
+/// give the same statistics. (With the `()` probe nothing is formatted by
+/// construction: events are typed and hold no `String`.)
 #[test]
-fn untraced_run_builds_no_event_strings() {
+fn event_log_run_matches_plain_run() {
     let p = aim_bench::prepare(
         aim_workloads::by_name("gzip", Scale::Tiny).unwrap(),
         Scale::Tiny,
     );
     let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
-    let stats = simulate_with_trace(&p.program, &p.trace, &cfg).unwrap();
-    assert_eq!(
-        stats.host.event_strings_built, 0,
-        "untraced cycle loop formatted pipeline events"
-    );
+    let stats = Machine::new(&p.program, &p.trace, cfg.clone()).run().unwrap();
     assert!(stats.host.wall_ns > 0);
 
-    let mut traced_cfg = cfg;
-    traced_cfg.event_trace = true;
-    let (traced_stats, events) = simulate_traced(&p.program, &traced_cfg).unwrap();
-    assert!(traced_stats.host.event_strings_built > 0);
-    assert!(!events.is_empty());
-    // The counter matches what the ring saw in total.
-    assert!(traced_stats.host.event_strings_built >= events.len() as u64);
+    let mut log = EventLog::new(1024);
+    let logged = Machine::new(&p.program, &p.trace, cfg).run_with(&mut log).unwrap();
+    assert_eq!(
+        format!("{:?}", stats.with_zeroed_host()),
+        format!("{:?}", logged.with_zeroed_host())
+    );
+    assert!(!log.into_vec().is_empty());
 }
 
 #[test]

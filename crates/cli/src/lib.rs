@@ -437,7 +437,8 @@ fn parse_submit(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseEr
 }
 
 /// Builds the [`SimConfig`] a [`RunArgs`] describes: its [`ConfigSpec`]
-/// plus the run-only structure variants and observability knobs.
+/// plus the run-only structure variants and integrity checks. (`--trace`
+/// and `--pipeview` are not configuration: they size the run's probes.)
 pub fn build_config(args: &RunArgs) -> SimConfig {
     let mut cfg = args.config.to_config();
     if let BackendConfig::SfcMdt { sfc, mdt } = &mut cfg.backend {
@@ -449,8 +450,6 @@ pub fn build_config(args: &RunArgs) -> SimConfig {
         }
     }
     cfg.mdt_filter = args.filter;
-    cfg.event_trace = args.trace > 0;
-    cfg.pipeview = args.pipeview > 0;
     cfg.paranoid = args.paranoid;
     cfg
 }
@@ -736,7 +735,6 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(args.pipeview, 24);
-        assert!(build_config(&args).pipeview);
         assert!(parse(&["run", "x", "--pipeview", "many"])
             .unwrap_err()
             .0

@@ -7,29 +7,38 @@ use aim_cli::{
     build_config, compare_column, parse_args, report, BackendChoice, Command, LitmusArgs, RunArgs,
     ServeArgs, SubmitArgs, USAGE,
 };
-use aim_pipeline::{pipeview, simulate_pipeview, simulate_traced};
+use aim_pipeline::{pipeview, EventLog, Machine, Pipeview, SimError, DEFAULT_INSTR_BUDGET};
 
+/// Simulates `program` and prints its report, then the last `--trace N`
+/// events and the last `--pipeview N` retirement timelines of the same run.
 fn run_program(name: &str, program: &aim_isa::Program, args: &RunArgs) -> Result<(), String> {
     let cfg = build_config(args);
+    let trace = aim_isa::Interpreter::new(program)
+        .run(DEFAULT_INSTR_BUDGET)
+        .map_err(|e| SimError::Program(e.to_string()).to_string())?;
     let backend = cfg.backend.name();
-    if args.pipeview > 0 {
-        let (stats, records) = simulate_pipeview(program, &cfg).map_err(|e| e.to_string())?;
-        print!("{}", report(name, &backend, &stats));
-        let tail = records.len().saturating_sub(args.pipeview);
-        println!("-- last {} retirements --", records.len() - tail);
-        print!("{}", pipeview::render(&records[tail..], 64));
-        return Ok(());
-    }
-    let (stats, events) = simulate_traced(program, &cfg).map_err(|e| e.to_string())?;
+    let machine = Machine::new(program, &trace, cfg);
+    let mut probe = (EventLog::new(args.trace), Pipeview::new(args.pipeview));
+    // Unobserved runs take the `()` probe, whose event sites compile away.
+    let stats = if args.trace == 0 && args.pipeview == 0 {
+        machine.run()
+    } else {
+        machine.run_with(&mut probe)
+    };
+    let stats = stats.map_err(|e| e.to_string())?;
+    let (log, view) = probe;
     print!("{}", report(name, &backend, &stats));
     if args.trace > 0 {
-        println!(
-            "-- last {} pipeline events --",
-            args.trace.min(events.len())
-        );
-        for line in events.iter().rev().take(args.trace).rev() {
+        let lines = log.into_vec();
+        println!("-- last {} pipeline events --", lines.len());
+        for line in lines {
             println!("{line}");
         }
+    }
+    if args.pipeview > 0 {
+        let records = view.into_vec();
+        println!("-- last {} retirements --", records.len());
+        print!("{}", pipeview::render(&records, 64));
     }
     Ok(())
 }

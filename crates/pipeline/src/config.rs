@@ -99,14 +99,6 @@ pub struct SimConfig {
     /// possible alias — so no anti-dependence check is needed. Off by
     /// default (the paper's evaluated design has no filter).
     pub mdt_filter: bool,
-    /// Record a per-event pipeline trace (see [`Machine::run_traced`]);
-    /// costs time and memory, off by default.
-    ///
-    /// [`Machine::run_traced`]: crate::Machine::run_traced
-    pub event_trace: bool,
-    /// Collect per-instruction stage timelines for the pipeline viewer (see
-    /// [`crate::pipeview`]); bounded memory, off by default.
-    pub pipeview: bool,
     /// Run the wakeup-list and store-census integrity checks even in
     /// release builds (they always run under `debug_assertions`). Wired to
     /// the `--paranoid` CLI flag; off by default because the censuses are
@@ -163,8 +155,6 @@ impl fmt::Debug for SimConfig {
             .field("stall_bits", &self.stall_bits)
             .field("store_fifo_entries", &self.store_fifo_entries)
             .field("mdt_filter", &self.mdt_filter)
-            .field("event_trace", &self.event_trace)
-            .field("pipeview", &self.pipeview)
             .field("paranoid", &self.paranoid)
             .field("validate_retirement", &self.validate_retirement)
             .field("max_instrs", &self.max_instrs);
@@ -202,8 +192,6 @@ impl SimConfig {
             stall_bits: true,
             store_fifo_entries: 0,
             mdt_filter: false,
-            event_trace: false,
-            pipeview: false,
             paranoid: false,
             validate_retirement: true,
             max_instrs: 0,

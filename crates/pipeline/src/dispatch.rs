@@ -6,6 +6,7 @@ use aim_isa::Instr;
 use aim_types::SeqNum;
 
 use crate::machine::Core;
+use crate::probe::{Event, Probe};
 use crate::rob::InFlight;
 
 /// The memory kind of an instruction, if it is a memory instruction.
@@ -20,7 +21,7 @@ pub(crate) fn mem_kind(instr: Instr) -> Option<MemKind> {
 }
 
 impl Core<'_> {
-    pub(crate) fn dispatch(&mut self) {
+    pub(crate) fn dispatch<P: Probe>(&mut self, probe: &mut P) {
         for _ in 0..self.config.width {
             let Some(front) = self.fetch_buffer.front().copied() else {
                 break;
@@ -89,7 +90,7 @@ impl Core<'_> {
                 }
             }
 
-            self.log(|| format!("dispatch {seq} pc={} `{}`", front.pc, front.instr));
+            probe.event(self.cycle, &Event::Dispatch(&entry));
             self.rob.push(entry);
             self.waiting.push_back(self.rob.stable_of(self.rob.len() - 1));
             self.stats.dispatched += 1;

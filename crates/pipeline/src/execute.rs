@@ -9,6 +9,7 @@ use aim_types::{Addr, MemAccess, SeqNum, ViolationKind};
 
 use crate::config::OutputDepRecovery;
 use crate::machine::Core;
+use crate::probe::{Event, Probe};
 use crate::recover::PendingViolation;
 use crate::rob::InstrState;
 
@@ -21,7 +22,7 @@ pub(crate) enum MemOutcome {
 }
 
 impl Core<'_> {
-    pub(crate) fn issue(&mut self) {
+    pub(crate) fn issue<P: Probe>(&mut self, probe: &mut P) {
         let mut budget = self.config.issue_width;
         let free_events = self.backend.free_event_count();
         let head_seq = self.rob.head().map(|h| h.seq);
@@ -63,7 +64,7 @@ impl Core<'_> {
         // executing an instruction never pushes, retires, or squashes ROB
         // entries — it only mutates their fields.
         for (seq, idx) in to_issue.drain(..) {
-            self.start_execute(seq, idx);
+            self.start_execute(seq, idx, probe);
         }
         self.issue_scratch = to_issue;
     }
@@ -75,22 +76,16 @@ impl Core<'_> {
         (a, b)
     }
 
-    fn start_execute(&mut self, seq: SeqNum, idx: usize) {
+    fn start_execute<P: Probe>(&mut self, seq: SeqNum, idx: usize, probe: &mut P) {
         debug_assert_eq!(self.rob.get_at(idx).seq, seq, "stale issue index");
         self.stats.issued += 1;
-        if self.config.event_trace {
-            let (pc, instr) = {
-                let e = self.rob.get_at(idx);
-                (e.pc, e.instr)
-            };
-            self.log(|| format!("issue    {seq} pc={pc} `{instr}`"));
-        }
         let (a, b) = self.src_values(idx);
         let cycle = self.cycle;
         let e = self.rob.get_at_mut(idx);
         e.issued_cycle = cycle;
         let pc = e.pc;
         let instr = e.instr;
+        probe.event(cycle, &Event::Issue(e));
 
         let mut result = 0u64;
         let mut actual_next: Option<u64> = None;
@@ -130,7 +125,7 @@ impl Core<'_> {
                 let raw = a.wrapping_add(offset as u64);
                 let addr = Addr(raw & !(size.bytes() - 1)); // align wrong-path garbage
                 let access = MemAccess::new(addr, size).expect("aligned by construction");
-                match self.exec_load(seq, idx, pc, access) {
+                match self.exec_load(seq, idx, pc, access, probe) {
                     MemOutcome::Done { value, latency } => {
                         result = value;
                         self.rob.get_at_mut(idx).mem = Some((access, value));
@@ -144,7 +139,7 @@ impl Core<'_> {
                 let raw = a.wrapping_add(offset as u64);
                 let addr = Addr(raw & !(size.bytes() - 1));
                 let access = MemAccess::new(addr, size).expect("aligned by construction");
-                match self.exec_store(seq, idx, pc, access, b) {
+                match self.exec_store(seq, idx, pc, access, b, probe) {
                     MemOutcome::Done { latency, .. } => {
                         self.rob.get_at_mut(idx).mem = Some((access, b));
                         self.config.agu_latency + latency
@@ -169,20 +164,19 @@ impl Core<'_> {
         }
     }
 
-    fn replay(&mut self, seq: SeqNum, idx: usize) {
-        self.replay_with(seq, idx, true);
+    fn replay<P: Probe>(&mut self, idx: usize, probe: &mut P) {
+        self.replay_with(idx, true, probe);
     }
 
     /// Replay without arming a stall bit: for drops the backend never saw
     /// (a far-memory MSHR refusal), where no backend free event will ever
     /// fire to clear the bit and arming it would park the instruction
     /// forever (the head-of-ROB exemption saves only the head).
-    fn replay_no_stall(&mut self, seq: SeqNum, idx: usize) {
-        self.replay_with(seq, idx, false);
+    fn replay_no_stall<P: Probe>(&mut self, idx: usize, probe: &mut P) {
+        self.replay_with(idx, false, probe);
     }
 
-    fn replay_with(&mut self, seq: SeqNum, idx: usize, allow_stall: bool) {
-        self.log(|| format!("replay   {seq} dropped by the memory unit"));
+    fn replay_with<P: Probe>(&mut self, idx: usize, allow_stall: bool, probe: &mut P) {
         // Stall bits only help when the backend emits free events that will
         // later clear them; on backends without them (which replay for
         // ordering, not capacity), a stall bit would never clear and the
@@ -198,6 +192,7 @@ impl Core<'_> {
         e.state = InstrState::Waiting;
         e.replayed = true;
         e.stall_until_free_event = stall.then_some(free_events);
+        probe.event(self.cycle, &Event::Replay(e));
     }
 
     /// Whether the per-cycle integrity censuses run: always in debug
@@ -272,7 +267,14 @@ impl Core<'_> {
         self.backend.supports_head_bypass() && self.at_head(seq) && self.rob.get_at(idx).replayed
     }
 
-    fn exec_load(&mut self, seq: SeqNum, idx: usize, pc: u64, access: MemAccess) -> MemOutcome {
+    fn exec_load<P: Probe>(
+        &mut self,
+        seq: SeqNum,
+        idx: usize,
+        pc: u64,
+        access: MemAccess,
+        probe: &mut P,
+    ) -> MemOutcome {
         self.stats.load_executions += 1;
         if self.head_bypasses(seq, idx) {
             self.stats.head_bypasses += 1;
@@ -288,7 +290,7 @@ impl Core<'_> {
         // replays with no backend side effects — and without a stall bit,
         // since no backend free event corresponds to an MSHR draining.
         if !self.memsys.admit_data_at(access.addr(), self.cycle) {
-            self.replay_no_stall(seq, idx);
+            self.replay_no_stall(idx, probe);
             return MemOutcome::Replay;
         }
 
@@ -328,7 +330,7 @@ impl Core<'_> {
             }
             LoadOutcome::Replay(cause) => {
                 self.stats.replays.count(MemKind::Load, cause);
-                self.replay(seq, idx);
+                self.replay(idx, probe);
                 MemOutcome::Replay
             }
             LoadOutcome::Anti(v) => {
@@ -353,13 +355,14 @@ impl Core<'_> {
         }
     }
 
-    fn exec_store(
+    fn exec_store<P: Probe>(
         &mut self,
         seq: SeqNum,
         idx: usize,
         pc: u64,
         access: MemAccess,
         value: u64,
+        probe: &mut P,
     ) -> MemOutcome {
         self.stats.store_executions += 1;
         let floor = self.rob.floor(SeqNum(self.next_seq));
@@ -381,7 +384,7 @@ impl Core<'_> {
         match outcome {
             StoreOutcome::Replay(cause) => {
                 self.stats.replays.count(MemKind::Store, cause);
-                self.replay(seq, idx);
+                self.replay(idx, probe);
                 MemOutcome::Replay
             }
             StoreOutcome::Done { latency, violations } => {
@@ -445,18 +448,18 @@ impl Core<'_> {
 
     // --- Complete -------------------------------------------------------
 
-    pub(crate) fn complete(&mut self) {
+    pub(crate) fn complete<P: Probe>(&mut self, probe: &mut P) {
         while let Some(&Reverse((when, seq_raw))) = self.exec_events.peek() {
             if when > self.cycle {
                 break;
             }
             self.exec_events.pop();
             let seq = SeqNum(seq_raw);
-            self.complete_one(seq);
+            self.complete_one(seq, probe);
         }
     }
 
-    fn complete_one(&mut self, seq: SeqNum) {
+    fn complete_one<P: Probe>(&mut self, seq: SeqNum, probe: &mut P) {
         let Some(idx) = self.rob.index_of(seq) else {
             let range = self.violation_range(seq);
             self.pending_violations.drain(range);
@@ -466,7 +469,7 @@ impl Core<'_> {
             return;
         }
         let violations = self.take_violations(seq);
-        self.apply_completion(seq, idx, &violations);
+        self.apply_completion(seq, idx, &violations, probe);
         self.violation_scratch = violations;
     }
 }

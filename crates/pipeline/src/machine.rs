@@ -13,7 +13,7 @@ use aim_predictor::{Gshare, OracleBoost, ProducerSetPredictor, TagScoreboard};
 use aim_types::SeqNum;
 
 use crate::config::SimConfig;
-use crate::pipeview::PipeRecord;
+use crate::probe::Probe;
 use crate::recover::PendingViolation;
 use crate::rename::Renamer;
 use crate::rob::{InFlight, Rob};
@@ -147,24 +147,11 @@ pub struct Core<'a> {
     /// (successfully) executed, and a counting filter over the granules of
     /// executed-but-unretired stores.
     pub(crate) unexecuted_stores: u64,
-    /// Retired-instruction timelines for the pipeline viewer
-    /// ([`SimConfig::pipeview`]), capped at [`PIPEVIEW_CAPACITY`].
-    pub(crate) pipe_records: Vec<PipeRecord>,
     pub(crate) store_granule_filter: Vec<u32>,
 
     pub(crate) stats: SimStats,
     pub(crate) last_retire_cycle: u64,
-    /// Event log (only populated when `config.event_trace` is set); bounded
-    /// to the most recent [`TRACE_CAPACITY`] events.
-    pub(crate) events: VecDeque<String>,
 }
-
-/// Maximum retired-instruction records kept by the pipeline viewer; the
-/// newest records win, so a long run shows its final window.
-pub const PIPEVIEW_CAPACITY: usize = 4096;
-
-/// Maximum events retained by the pipeline trace (a ring of the most recent).
-pub const TRACE_CAPACITY: usize = 65_536;
 
 /// The historical single-core name: a [`Core`] constructed with
 /// [`Machine::new`] owns its entire memory system and behaves exactly as
@@ -233,7 +220,6 @@ impl<'a> Core<'a> {
             squash_scratch: Vec::new(),
             violation_scratch: Vec::new(),
             unexecuted_stores: 0,
-            pipe_records: Vec::new(),
             store_granule_filter: vec![0; 1024],
             cycle: 0,
             next_seq: 1,
@@ -241,26 +227,9 @@ impl<'a> Core<'a> {
             target_retired,
             stats: SimStats::default(),
             last_retire_cycle: 0,
-            events: VecDeque::new(),
             config,
             program,
             trace,
-        }
-    }
-
-    /// Appends a pipeline event to the trace ring when tracing is enabled.
-    ///
-    /// The closure keeps formatting lazy: with `event_trace` off nothing is
-    /// formatted or allocated, which
-    /// [`HostPerf::event_strings_built`](crate::HostPerf) records.
-    pub(crate) fn log(&mut self, event: impl FnOnce() -> String) {
-        if self.config.event_trace {
-            if self.events.len() == TRACE_CAPACITY {
-                self.events.pop_front();
-            }
-            let line = format!("{:>8}  {}", self.cycle, event());
-            self.stats.host.event_strings_built += 1;
-            self.events.push_back(line);
         }
     }
 
@@ -273,33 +242,20 @@ impl<'a> Core<'a> {
     /// golden trace, [`SimError::Deadlock`] if no progress is made for an
     /// implausibly long stretch.
     pub fn run(self) -> Result<SimStats, SimError> {
-        self.run_traced().map(|(stats, _)| stats)
+        self.run_with(&mut ())
     }
 
-    /// Like [`Machine::run`], but also returns the recorded event trace
-    /// (empty unless [`SimConfig::event_trace`] is set): one line per fetch
-    /// redirect, dispatch, issue, replay, completion, recovery and
-    /// retirement, newest last, bounded to [`TRACE_CAPACITY`] events.
+    /// Like [`Machine::run`], but reports every pipeline [`Event`] to
+    /// `probe` as it happens (see [`crate::probe`]).
     ///
     /// # Errors
     ///
     /// See [`Machine::run`].
-    pub fn run_traced(mut self) -> Result<(SimStats, Vec<String>), SimError> {
-        self.run_loop()?;
-        Ok((self.stats, self.events.into()))
-    }
-
-    /// Like [`Machine::run`], but also returns the per-instruction stage
-    /// timelines collected for the pipeline viewer. Set
-    /// [`SimConfig::pipeview`]; otherwise the returned list is empty. Only
-    /// the newest [`PIPEVIEW_CAPACITY`] retirements are kept.
     ///
-    /// # Errors
-    ///
-    /// See [`Machine::run`].
-    pub fn run_pipeview(mut self) -> Result<(SimStats, Vec<PipeRecord>), SimError> {
-        self.run_loop()?;
-        Ok((self.stats, self.pipe_records))
+    /// [`Event`]: crate::Event
+    pub fn run_with(mut self, probe: &mut impl Probe) -> Result<SimStats, SimError> {
+        self.run_loop(probe)?;
+        Ok(self.stats)
     }
 
     /// Like [`Machine::run`], but also returns the architectural end state
@@ -310,7 +266,7 @@ impl<'a> Core<'a> {
     ///
     /// See [`Machine::run`].
     pub fn run_final(mut self) -> Result<(SimStats, FinalState), SimError> {
-        self.run_loop()?;
+        self.run_loop(&mut ())?;
         let regs = self.arch_regs();
         Ok((
             self.stats,
@@ -332,16 +288,16 @@ impl<'a> Core<'a> {
     /// complete/issue/dispatch/fetch, with the per-core deadlock check.
     /// This is the multi-core scheduling quantum — the single-core
     /// [`Machine::run`] loop calls it back to back.
-    pub(crate) fn step(&mut self) -> Result<(), SimError> {
+    pub(crate) fn step<P: Probe>(&mut self, probe: &mut P) -> Result<(), SimError> {
         self.cycle += 1;
-        self.retire()?;
+        self.retire(probe)?;
         if self.halted {
             self.debug_check_filter_census();
             return Ok(());
         }
-        self.complete();
-        self.issue();
-        self.dispatch();
+        self.complete(probe);
+        self.issue(probe);
+        self.dispatch(probe);
         self.fetch();
 
         if self.cycle - self.last_retire_cycle > DEADLOCK_CYCLES {
@@ -358,16 +314,16 @@ impl<'a> Core<'a> {
         Ok(())
     }
 
-    fn run_loop(&mut self) -> Result<(), SimError> {
+    fn run_loop<P: Probe>(&mut self, probe: &mut P) -> Result<(), SimError> {
         if self.target_retired == 0 {
             return Ok(());
         }
         if self.config.sample.is_some() {
-            return self.run_sampled();
+            return self.run_sampled(probe);
         }
         let wall_start = std::time::Instant::now();
         while !self.halted {
-            self.step()?;
+            self.step(probe)?;
         }
         self.stats.cycles = self.cycle;
         self.stats.host.wall_ns = wall_start.elapsed().as_nanos() as u64;

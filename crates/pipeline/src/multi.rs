@@ -173,7 +173,7 @@ impl<'a> MultiMachine<'a> {
                 for core in &mut self.cores {
                     if !core.halted {
                         live = true;
-                        core.step()?;
+                        core.step(&mut ())?;
                     }
                 }
                 if !live {
@@ -195,7 +195,7 @@ impl<'a> MultiMachine<'a> {
                         if self.cores[pick].halted {
                             break;
                         }
-                        self.cores[pick].step()?;
+                        self.cores[pick].step(&mut ())?;
                     }
                 }
             }
@@ -272,7 +272,6 @@ fn merge_stats(per_core: &[SimStats]) -> SimStats {
             m.caches.2 = s.caches.2;
             m.host.wall_ns = s.host.wall_ns;
         }
-        m.host.event_strings_built += s.host.event_strings_built;
         // m.backend stays BackendStats::None: per-backend counters are
         // variant-typed and remain meaningful only per core.
     }

@@ -2,31 +2,35 @@
 //! viewer: every retired instruction carries the cycle it passed each stage,
 //! and [`render`] draws them as aligned ASCII lanes.
 //!
-//! Enable with [`SimConfig::pipeview`](crate::SimConfig::pipeview) and run
-//! via [`simulate_pipeview`](crate::simulate_pipeview):
+//! Collect them with the [`Pipeview`] probe:
 //!
 //! ```
-//! use aim_isa::{Assembler, Reg};
-//! use aim_pipeline::{pipeview, simulate_pipeview, MachineClass, SimConfig};
-//! use aim_predictor::EnforceMode;
+//! use aim_isa::{Assembler, Interpreter, Reg};
+//! use aim_pipeline::{pipeview, EventLog, Machine, MachineClass, Pipeview, SimConfig};
 //!
 //! let mut asm = Assembler::new();
-//! asm.movi(Reg::new(1), 5);
 //! asm.movi(Reg::new(2), 0x100);
 //! asm.label("loop");
-//! asm.sd(Reg::new(1), Reg::new(2), 0);
+//! asm.sd(Reg::new(2), Reg::new(2), 0);
 //! asm.ld(Reg::new(3), Reg::new(2), 0);
-//! asm.subi(Reg::new(1), Reg::new(1), 1);
-//! asm.bne(Reg::new(1), Reg::ZERO, "loop");
+//! asm.subi(Reg::new(2), Reg::new(2), 8);
+//! asm.bne(Reg::new(2), Reg::ZERO, "loop");
 //! asm.halt();
+//! let program = asm.assemble().unwrap();
+//! let trace = Interpreter::new(&program).run(1000).unwrap();
 //!
-//! let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
-//! cfg.pipeview = true;
-//! let (_, records) = simulate_pipeview(&asm.assemble().unwrap(), &cfg).unwrap();
-//! println!("{}", pipeview::render(&records, 60));
+//! // Event lines and stage timelines of the same run, through a pair probe.
+//! let mut probe = (EventLog::new(8), Pipeview::new(64));
+//! let cfg = SimConfig::machine(MachineClass::Baseline).build();
+//! Machine::new(&program, &trace, cfg).run_with(&mut probe).unwrap();
+//! let (log, view) = probe;
+//! assert!(log.into_vec().last().unwrap().ends_with("`halt`"));
+//! println!("{}", pipeview::render(&view.into_vec(), 60));
 //! ```
 
 use std::fmt::Write as _;
+
+use crate::probe::{Event, Probe, Ring};
 
 /// One retired instruction's passage through the pipeline.
 ///
@@ -54,6 +58,26 @@ pub struct PipeRecord {
     pub replayed: bool,
     /// Executed via the ROB-head bypass (§2.2).
     pub bypassed: bool,
+}
+
+/// The newest retirements as stage timelines.
+pub type Pipeview = Ring<PipeRecord>;
+
+impl Probe for Pipeview {
+    fn event(&mut self, cycle: u64, event: &Event<'_>) {
+        let Event::Retire(e) = *event else { return };
+        self.push(|| PipeRecord {
+            seq: e.seq.0,
+            pc: e.pc,
+            instr: e.instr.to_string(),
+            dispatched: e.dispatched_cycle,
+            issued: e.issued_cycle,
+            completed: e.completed_cycle,
+            retired: cycle,
+            replayed: e.replayed,
+            bypassed: e.bypassed,
+        });
+    }
 }
 
 /// Renders records as aligned ASCII timelines, `width` columns across.

@@ -4,6 +4,7 @@
 use aim_types::{SeqNum, ViolationKind};
 
 use crate::machine::Core;
+use crate::probe::{Event, Probe};
 use crate::rob::InstrState;
 
 /// A pending memory-dependence violation, carried from execute to the
@@ -48,11 +49,12 @@ impl Core<'_> {
         taken
     }
 
-    pub(crate) fn apply_completion(
+    pub(crate) fn apply_completion<P: Probe>(
         &mut self,
         seq: SeqNum,
         idx: usize,
         violations: &[PendingViolation],
+        probe: &mut P,
     ) {
         // An anti violation squashes the violating load itself; nothing else
         // about the instruction completes.
@@ -66,6 +68,7 @@ impl Core<'_> {
             self.recover_to(
                 v.squash_after,
                 self.config.mispredict_penalty + self.backend.violation_extra_penalty(),
+                probe,
             );
             return;
         }
@@ -76,16 +79,13 @@ impl Core<'_> {
         debug_assert_eq!(e.seq, seq, "stale completion index");
         e.state = InstrState::Completed;
         e.completed_cycle = cycle;
-        let pc = e.pc;
         let dest = e.dest;
         let result = e.result;
         let produces = e.dep_produces;
         let instr = e.instr;
         let predicted_next = e.predicted_next_pc;
         let actual_next = e.actual_next_pc;
-        if self.config.event_trace {
-            self.log(|| format!("complete {seq} pc={pc} result={result:#x}"));
-        }
+        probe.event(cycle, &Event::Complete(e));
 
         if let Some(d) = dest {
             self.renamer.write(d.new_phys, result);
@@ -99,7 +99,7 @@ impl Core<'_> {
             let actual = actual_next.expect("control instructions resolve a target");
             if actual != predicted_next {
                 self.stats.flushes.branch += 1;
-                self.recover_control(seq, idx, actual);
+                self.recover_control(seq, idx, actual, probe);
                 return;
             }
         }
@@ -120,7 +120,7 @@ impl Core<'_> {
             flush_point = Some(flush_point.map_or(v.squash_after, |f| f.min(v.squash_after)));
         }
         if let Some(point) = flush_point {
-            self.recover_to(point, penalty);
+            self.recover_to(point, penalty, probe);
         }
     }
 
@@ -131,7 +131,13 @@ impl Core<'_> {
 
     /// Recovery for a resolved control misprediction: flush after the branch
     /// and steer fetch to the computed target.
-    fn recover_control(&mut self, branch_seq: SeqNum, idx: usize, actual_next: u64) {
+    fn recover_control<P: Probe>(
+        &mut self,
+        branch_seq: SeqNum,
+        idx: usize,
+        actual_next: u64,
+        probe: &mut P,
+    ) {
         let e = self.rob.get_at(idx);
         let resume_cursor = e.trace_index.map(|t| t + 1);
         // Rebuild the speculative history: everything after this branch is
@@ -148,6 +154,7 @@ impl Core<'_> {
             actual_next,
             resume_cursor,
             self.config.mispredict_penalty,
+            probe,
         );
     }
 
@@ -156,7 +163,7 @@ impl Core<'_> {
     /// squashed instruction — taken from the ROB, or failing that the fetch
     /// buffer. If nothing younger exists anywhere, fetch is already
     /// consistent and only the penalty applies.
-    fn recover_to(&mut self, survivor: SeqNum, penalty: u64) {
+    fn recover_to<P: Probe>(&mut self, survivor: SeqNum, penalty: u64, probe: &mut P) {
         let resume = self
             .rob
             .first_after(survivor)
@@ -169,7 +176,7 @@ impl Core<'_> {
         match resume {
             Some((pc, cursor, history)) => {
                 self.gshare.restore_history(history);
-                self.squash_and_redirect(survivor, pc, cursor, penalty);
+                self.squash_and_redirect(survivor, pc, cursor, penalty, probe);
             }
             None => {
                 // The violating instruction is the youngest anywhere; there
@@ -179,19 +186,22 @@ impl Core<'_> {
         }
     }
 
-    pub(crate) fn squash_and_redirect(
+    pub(crate) fn squash_and_redirect<P: Probe>(
         &mut self,
         survivor: SeqNum,
         resume_pc: u64,
         resume_cursor: Option<u64>,
         penalty: u64,
+        probe: &mut P,
     ) {
-        self.log(|| {
-            format!(
-                "recover  squash seq>{} resume pc={resume_pc} (+{penalty} cycles)",
-                survivor.0
-            )
-        });
+        probe.event(
+            self.cycle,
+            &Event::Recover {
+                survivor,
+                resume_pc,
+                penalty,
+            },
+        );
         let mut squashed = std::mem::take(&mut self.squash_scratch);
         self.rob.squash_after_into(survivor, &mut squashed);
         // The squashed entries held the largest stable positions; drop them

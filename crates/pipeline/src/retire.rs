@@ -3,37 +3,21 @@
 
 use aim_isa::Instr;
 
-use crate::machine::{Core, SimError, PIPEVIEW_CAPACITY};
-use crate::pipeview::PipeRecord;
+use crate::machine::{Core, SimError};
+use crate::probe::{Event, Probe};
 use crate::rob::{InFlight, InstrState};
 
 impl Core<'_> {
-    pub(crate) fn retire(&mut self) -> Result<(), SimError> {
+    pub(crate) fn retire<P: Probe>(&mut self, probe: &mut P) -> Result<(), SimError> {
         for _ in 0..self.config.width {
             let Some(head) = self.rob.head() else { break };
             if head.state != InstrState::Completed {
                 break;
             }
             let e = self.rob.pop_head().expect("head checked");
-            self.log(|| format!("retire   {} pc={} `{}`", e.seq, e.pc, e.instr));
+            probe.event(self.cycle, &Event::Retire(&e));
             if self.config.validate_retirement {
                 self.validate(&e)?;
-            }
-            if self.config.pipeview {
-                if self.pipe_records.len() == PIPEVIEW_CAPACITY {
-                    self.pipe_records.remove(0);
-                }
-                self.pipe_records.push(PipeRecord {
-                    seq: e.seq.0,
-                    pc: e.pc,
-                    instr: e.instr.to_string(),
-                    dispatched: e.dispatched_cycle,
-                    issued: e.issued_cycle,
-                    completed: e.completed_cycle,
-                    retired: self.cycle,
-                    replayed: e.replayed,
-                    bypassed: e.bypassed,
-                });
             }
 
             if let Some(d) = e.dest {

@@ -64,6 +64,7 @@ use aim_isa::Retired;
 use aim_types::{MemAccess, SeqNum};
 
 use crate::machine::{Core, SimError};
+use crate::probe::Probe;
 use crate::stats::SampledStats;
 
 /// Memory operations held in flight between warm execute and warm (lagged)
@@ -218,7 +219,7 @@ impl Core<'_> {
     /// execution profile (an expensive start-up phase, a slow middle loop)
     /// is weighted by where it actually happened instead of being averaged
     /// into one global rate.
-    pub(crate) fn run_sampled(&mut self) -> Result<(), SimError> {
+    pub(crate) fn run_sampled<P: Probe>(&mut self, probe: &mut P) -> Result<(), SimError> {
         let spec = self.config.sample.expect("run_sampled requires a policy");
         let wall_start = std::time::Instant::now();
         let total = self.target_retired;
@@ -274,7 +275,7 @@ impl Core<'_> {
             let ramp_start_cycle = self.cycle;
             let ramp_start_retired = self.stats.retired;
             while !self.halted && self.stats.retired < ramp_target {
-                self.step()?;
+                self.step(probe)?;
             }
             if period == 0 {
                 cold = (
@@ -287,13 +288,13 @@ impl Core<'_> {
             let start_cycle = self.cycle;
             let start_retired = self.stats.retired;
             while !self.halted {
-                self.step()?;
+                self.step(probe)?;
             }
             windows.push((self.stats.retired - start_retired, self.cycle - start_cycle));
             coverage.detail_cycles += self.cycle - start_cycle;
             coverage.detail_retired += self.stats.retired - start_retired;
             coverage.periods_run += 1;
-            self.quiesce_detail();
+            self.quiesce_detail(probe);
             if self.stats.retired < total {
                 // Trailing warm stretch to the period boundary (the leading
                 // jitter already consumed part of this period's warm
@@ -583,14 +584,14 @@ impl Core<'_> {
     /// (the warm↔detail handoff contract — no stale speculation state may
     /// survive into the functional stretch), and the speculative gshare
     /// history is rebuilt from retired reality.
-    fn quiesce_detail(&mut self) {
+    fn quiesce_detail<P: Probe>(&mut self, probe: &mut P) {
         let survivor = match self.rob.head() {
             Some(h) => SeqNum(h.seq.0 - 1),
             None => SeqNum(self.next_seq - 1),
         };
         let cursor = self.stats.retired;
         let resume_pc = self.trace.get(cursor).map_or(0, |r| r.pc);
-        self.squash_and_redirect(survivor, resume_pc, Some(cursor), 0);
+        self.squash_and_redirect(survivor, resume_pc, Some(cursor), 0, probe);
         self.backend.flush();
         self.exec_events.clear();
         self.pending_violations.clear();

@@ -112,9 +112,9 @@ impl FlushCounts {
 pub struct HostPerf {
     /// Wall-clock nanoseconds spent inside the cycle loop.
     pub wall_ns: u64,
-    /// Event-trace strings actually formatted. Zero whenever
-    /// `SimConfig::event_trace` is off — the regression test for the
-    /// allocation-free hot path asserts exactly that.
+    /// Always zero since pipeline events became typed probes. Kept because
+    /// the stats fingerprint hashes this `Debug` text; it goes with the
+    /// canonical stats encoding (ROADMAP item 4).
     pub event_strings_built: u64,
 }
 

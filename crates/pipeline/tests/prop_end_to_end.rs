@@ -8,7 +8,7 @@ use aim_core::{
 };
 use aim_isa::Interpreter;
 use aim_lsq::LsqConfig;
-use aim_pipeline::{simulate_with_trace, BackendConfig, OutputDepRecovery, SimConfig};
+use aim_pipeline::{BackendConfig, Machine, OutputDepRecovery, SimConfig};
 use aim_predictor::{EnforceMode, PredictorConfig};
 use aim_workloads::stress::random_program;
 use proptest::prelude::*;
@@ -147,7 +147,7 @@ proptest! {
         let trace = Interpreter::new(&program).run(500_000).unwrap();
         prop_assert!(trace.halted());
         let cfg = config_from(&k);
-        let stats = simulate_with_trace(&program, &trace, &cfg)
+        let stats = Machine::new(&program, &trace, cfg).run()
             .map_err(|e| TestCaseError::fail(format!("{k:?}: {e}")))?;
         prop_assert_eq!(stats.retired, trace.len() as u64);
     }
@@ -164,7 +164,7 @@ proptest! {
             load_entries: lq,
             store_entries: sq,
         }));
-        let stats = simulate_with_trace(&program, &trace, &cfg)
+        let stats = Machine::new(&program, &trace, cfg).run()
             .map_err(|e| TestCaseError::fail(format!("lq {lq} sq {sq}: {e}")))?;
         prop_assert_eq!(stats.retired, trace.len() as u64);
     }

@@ -1,7 +1,9 @@
 //! Targeted machine-behaviour scenarios on hand-built programs.
 
 use aim_isa::{Assembler, Interpreter, Reg};
-use aim_pipeline::{BackendChoice, MachineClass, simulate, simulate_with_trace, BackendConfig, SimConfig, SimStats};
+use aim_pipeline::{
+    simulate, BackendChoice, BackendConfig, Machine, MachineClass, Pipeview, SimConfig, SimStats,
+};
 use aim_predictor::EnforceMode;
 
 fn r(i: u8) -> Reg {
@@ -134,7 +136,7 @@ fn simulations_terminate() {
         SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build(),
         SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build(),
     ] {
-        let stats = simulate_with_trace(&w.program, &trace, &cfg).expect("no deadlock");
+        let stats = Machine::new(&w.program, &trace, cfg).run().expect("no deadlock");
         assert_eq!(stats.retired, trace.len() as u64);
     }
 }
@@ -306,13 +308,12 @@ fn xor_fold_hash_fixes_mcf() {
 #[test]
 fn pipeview_records_are_stage_monotone() {
     let w = aim_workloads::by_name("gzip", aim_workloads::Scale::Tiny).unwrap();
-    let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
-    cfg.pipeview = true;
-    let (stats, records) = aim_pipeline::simulate_pipeview(&w.program, &cfg).expect("validated");
-    assert_eq!(
-        records.len() as u64,
-        stats.retired.min(aim_pipeline::PIPEVIEW_CAPACITY as u64)
-    );
+    let trace = Interpreter::new(&w.program).run(1_000_000).unwrap();
+    let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    let mut view = Pipeview::new(4096);
+    let stats = Machine::new(&w.program, &trace, cfg).run_with(&mut view).expect("validated");
+    let records = view.into_vec();
+    assert_eq!(records.len() as u64, stats.retired.min(4096));
     for pair in records.windows(2) {
         assert!(pair[0].seq < pair[1].seq, "retirement order");
         assert!(pair[0].retired <= pair[1].retired);

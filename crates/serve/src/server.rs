@@ -25,7 +25,7 @@
 use crate::cache::{CacheEntry, DiskCache, Lookup};
 use crate::proto::{error_reply, JobResponse, Source, VerifyOutcome};
 use aim_pipeline::JobSpec;
-use aim_bench::{cache_key_of_texts, canonical_config_text, program_text, CacheKey, Prepared};
+use aim_bench::{canonical_config_text, program_text, CacheKey, KeyPrefix, Prepared};
 use aim_types::wire::{read_frame, write_frame, WireMsg};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -185,9 +185,9 @@ pub struct Server {
     pool: WorkPool,
     code_version: String,
     counters: Arc<Counters>,
-    /// Program texts per `(kernel, scale)` — the warm path's only
-    /// per-request work beyond hashing.
-    program_texts: Mutex<HashMap<(String, Scale), Arc<String>>>,
+    /// Key hash states per `(kernel, scale)` after the program text: a
+    /// request hashes only its config text.
+    key_prefixes: Mutex<HashMap<(String, Scale), KeyPrefix>>,
     /// Golden traces per `(kernel, scale)`, interpreted once on first
     /// miss.
     prepared: Mutex<HashMap<(String, Scale), PreparedCell>>,
@@ -222,7 +222,7 @@ impl Server {
             pool: WorkPool::new(workers),
             code_version: code_version.to_string(),
             counters: Arc::new(Counters::default()),
-            program_texts: Mutex::new(HashMap::new()),
+            key_prefixes: Mutex::new(HashMap::new()),
             prepared: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
@@ -272,21 +272,20 @@ impl Server {
     ///
     /// Returns a one-line message for an unknown kernel.
     pub fn key_of(&self, spec: &JobSpec) -> Result<CacheKey, String> {
-        let ptext = self.program_text_of(&spec.kernel, spec.scale)?;
-        let ctext = canonical_config_text(&spec.config.to_config());
-        Ok(cache_key_of_texts(&ptext, &ctext, &self.code_version))
+        let prefix = self.key_prefix_of(&spec.kernel, spec.scale)?;
+        Ok(prefix.key(&canonical_config_text(&spec.config.to_config())))
     }
 
-    fn program_text_of(&self, kernel: &str, scale: Scale) -> Result<Arc<String>, String> {
-        let mut texts = self.program_texts.lock().expect("program lock");
-        if let Some(text) = texts.get(&(kernel.to_string(), scale)) {
-            return Ok(Arc::clone(text));
+    fn key_prefix_of(&self, kernel: &str, scale: Scale) -> Result<KeyPrefix, String> {
+        let mut prefixes = self.key_prefixes.lock().expect("key prefix lock");
+        if let Some(prefix) = prefixes.get(&(kernel.to_string(), scale)) {
+            return Ok(*prefix);
         }
         let workload = aim_workloads::by_name(kernel, scale)
             .ok_or_else(|| format!("no such kernel `{kernel}` (see aim-workloads)"))?;
-        let text = Arc::new(program_text(&workload.program));
-        texts.insert((kernel.to_string(), scale), Arc::clone(&text));
-        Ok(text)
+        let prefix = KeyPrefix::new(&program_text(&workload.program), &self.code_version);
+        prefixes.insert((kernel.to_string(), scale), prefix);
+        Ok(prefix)
     }
 
     fn prepared_of(&self, kernel: &str, scale: Scale) -> Result<Arc<Prepared>, String> {

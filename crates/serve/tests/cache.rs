@@ -15,8 +15,11 @@
 //! anchored to the harness the experiment binaries use — the same
 //! fingerprint idiom `BENCH_hostperf.json` gates on.
 
-use aim_bench::{fingerprint_stats, fingerprint_text};
-use aim_serve::{hostperf_configs, JobSpec, Server, Source, VerifyOutcome};
+use aim_bench::{
+    cache_key_of_texts, canonical_config_text, fingerprint_stats, fingerprint_text, program_text,
+    CODE_VERSION,
+};
+use aim_serve::{farmem_configs, hostperf_configs, JobSpec, Server, Source, VerifyOutcome};
 use aim_workloads::Scale;
 use std::path::PathBuf;
 
@@ -167,5 +170,27 @@ fn no_cache_recomputes_but_refreshes_the_entry() {
     // The refreshed entry still serves warm requests.
     assert_eq!(server.submit(&spec, false, false).unwrap().source, Source::Cache);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The server keys a request from its memoized program prefix; every
+/// `hostperf_configs` and `farmem_configs` cell must get the key the full
+/// key text hashes to.
+#[test]
+fn memoized_prefix_keys_equal_full_text_keys() {
+    let dir = temp_dir("prefix_keys");
+    let server = Server::new(&dir, 1).unwrap();
+    let configs: Vec<_> = hostperf_configs().into_iter().chain(farmem_configs()).collect();
+    for kernel in aim_workloads::names() {
+        let ptext = program_text(&aim_workloads::by_name(kernel, Scale::Tiny).unwrap().program);
+        for (name, cfg) in &configs {
+            let ctext = canonical_config_text(&cfg.to_config());
+            assert_eq!(
+                server.key_of(&cfg.job(kernel, Scale::Tiny)).unwrap(),
+                cache_key_of_texts(&ptext, &ctext, CODE_VERSION),
+                "{kernel}/{name}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

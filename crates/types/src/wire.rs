@@ -353,14 +353,16 @@ impl Parser<'_> {
                 if word.is_empty() {
                     return Err(format!("expected a value at byte {start}"));
                 }
-                if !word.contains(['.', 'e', 'E']) {
-                    if let Ok(n) = word.parse::<u64>() {
-                        return Ok(WireValue::U64(n));
-                    }
+                if !is_json_number(&word) {
+                    return Err(format!("bad number `{word}` at byte {start}"));
                 }
-                word.parse::<f64>()
-                    .map(WireValue::F64)
-                    .map_err(|_| format!("bad number `{word}` at byte {start}"))
+                match word.parse::<u64>() {
+                    Ok(n) => Ok(WireValue::U64(n)),
+                    Err(_) => word
+                        .parse::<f64>()
+                        .map(WireValue::F64)
+                        .map_err(|_| format!("bad number `{word}` at byte {start}")),
+                }
             }
             None => Err("expected a value, found end of input".to_string()),
         }
@@ -383,6 +385,17 @@ impl Parser<'_> {
         }
         self.text[start..end].to_string()
     }
+}
+
+/// Whether `word` spells a number in JSON's grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn is_json_number(word: &str) -> bool {
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = word.strip_prefix('-').unwrap_or(word);
+    let (mantissa, exp) = unsigned.split_once(['e', 'E']).unwrap_or((unsigned, "0"));
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, "0"));
+    let exp = exp.strip_prefix(['+', '-']).unwrap_or(exp);
+    digits(int) && (int == "0" || !int.starts_with('0')) && digits(frac) && digits(exp)
 }
 
 /// Appends `s` as a quoted JSON string: `"` and `\` are backslash-escaped
@@ -553,6 +566,26 @@ mod tests {
         assert_eq!(msg.f64_field("x"), Some(-2.5));
         assert_eq!(msg.u64_field("y"), Some(3));
         assert_eq!(msg.f64_field("z"), Some(1000.0));
+    }
+
+    #[test]
+    fn only_json_number_spellings_decode() {
+        for bad in ["nan", "inf", "+1", "01", "1.", ".5"] {
+            let err = WireMsg::parse(&format!("{{\"a\": {bad}}}")).unwrap_err();
+            assert!(err.contains("bad number"), "`{bad}`: {err}");
+        }
+        for bad in ["-", "-01", "1e", "1e+", "1.e3", "0x10", "1-2", "--1"] {
+            assert!(WireMsg::parse(&format!("{{\"a\": {bad}}}")).is_err(), "`{bad}`");
+        }
+        let good = WireMsg::parse("{\"a\": 0, \"b\": -0, \"c\": 10.25, \"d\": -1E+2, \"e\": 5e-1}")
+            .unwrap();
+        assert_eq!(good.u64_field("a"), Some(0));
+        assert_eq!(good.f64_field("b"), Some(0.0));
+        assert_eq!(good.f64_field("c"), Some(10.25));
+        assert_eq!(good.f64_field("d"), Some(-100.0));
+        assert_eq!(good.f64_field("e"), Some(0.5));
+        let huge = WireMsg::parse("{\"a\": 1e999999999999999999999}").unwrap();
+        assert_eq!(huge.f64_field("a"), Some(f64::INFINITY));
     }
 
     #[test]

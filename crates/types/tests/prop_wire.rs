@@ -11,6 +11,8 @@
 //! 2. **Damage never panics**: every truncation and a batch of byte flips
 //!    of the rendering decode to `Err` or to a message, and a message
 //!    decoded from damaged text re-encodes to a fixed point too.
+//! 3. **Encoded numbers decode**: every number the encoder writes passes
+//!    the decoder's strict JSON number grammar.
 //!
 //! Seeds worth keeping are pinned in `prop_wire.proptest-regressions` and
 //! replayed by [`regression_seeds_stay_green`] (the vendored proptest does
@@ -128,12 +130,35 @@ fn check_wire_case(seed: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Every number the encoder writes, whatever the value (NaN and the
+/// infinities included), decodes under the strict JSON number grammar to a
+/// value that renders the same.
+fn check_number_case(seed: u64) -> Result<(), TestCaseError> {
+    let mut g = Gen(seed);
+    let mut msg = WireMsg::new();
+    msg.put_u64("u", g.next() >> g.below(64));
+    msg.put_f64("bits", f64::from_bits(g.next()));
+    msg.put_f64("scaled", (g.next() as i64 as f64) / 1e6);
+    msg.put_f64("odd", [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][g.below(4) as usize]);
+    let json = msg.to_json();
+    let back = WireMsg::parse(&json)
+        .map_err(|e| TestCaseError::fail(format!("seed {seed}: {json} does not decode: {e}")))?;
+    prop_assert_eq!(back.u64_field("u"), msg.u64_field("u"));
+    prop_assert_eq!(back.to_json(), json);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn wire_messages_survive_encoding_and_damage(seed in any::<u64>()) {
         check_wire_case(seed)?;
+    }
+
+    #[test]
+    fn encoded_numbers_always_decode(seed in any::<u64>()) {
+        check_number_case(seed)?;
     }
 }
 

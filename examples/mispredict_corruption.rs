@@ -12,7 +12,7 @@
 //! ```
 
 use aim_isa::Interpreter;
-use aim_pipeline::{MachineClass, simulate_with_trace, SimConfig};
+use aim_pipeline::{MachineClass, Machine, SimConfig};
 use aim_predictor::EnforceMode;
 use aim_workloads::{by_name, Scale};
 
@@ -39,7 +39,7 @@ fn main() {
     ] {
         let mut cfg = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
         cfg.oracle_fix_probability = fix_probability;
-        let stats = simulate_with_trace(&w.program, &trace, &cfg).expect("validated");
+        let stats = Machine::new(&w.program, &trace, cfg).run().expect("validated");
         let sfc = *stats.backend.sfc().expect("SFC backend");
         println!(
             "{:<26} | {:>7.3} {:>10} {:>10} {:>10} {:>9.2}%",

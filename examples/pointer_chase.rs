@@ -11,7 +11,7 @@
 //! ```
 
 use aim_isa::Interpreter;
-use aim_pipeline::{MachineClass, simulate_with_trace, BackendConfig, SimConfig};
+use aim_pipeline::{MachineClass, Machine, BackendConfig, SimConfig};
 use aim_predictor::EnforceMode;
 use aim_workloads::{by_name, Scale};
 
@@ -44,7 +44,7 @@ fn main() {
             mdt.sets = sets;
             mdt.ways = ways;
         }
-        let stats = simulate_with_trace(&w.program, &trace, &cfg).expect("validated");
+        let stats = Machine::new(&w.program, &trace, cfg).run().expect("validated");
         println!(
             "{:>9} {:>6} | {:>10} {:>9.2}% {:>8.3}",
             sets,

@@ -81,12 +81,15 @@ grep -q 'acceptance: every swept filter geometry inside the no-spec..oracle brac
 # fails if the architectural-stats fingerprint diverges (a silent behavior
 # change hiding behind a host-perf win), then replays it again as 1-core
 # MultiMachines — the multi-core refactor's N=1 bit-identity contract —
-# and the run must print both acceptance lines.
+# and the run must print both acceptance lines. Both replays compare the
+# run only with itself, so the accepted fingerprint is also pinned: a
+# change that alters any statistic must update it here and bump
+# aim_bench::CODE_VERSION in the same commit.
 echo "== tier1: table_hostperf differential gate (tiny scale) =="
 HOSTPERF_OUT="$(AIM_HOSTPERF_JSON="$(mktemp)" \
   cargo run --release -q -p aim-bench --bin table_hostperf -- --scale tiny --check)"
 grep -q 'hostperf: multi-core N=1 fingerprint matches single-core' <<<"$HOSTPERF_OUT"
-grep -q 'hostperf: ACCEPT' <<<"$HOSTPERF_OUT"
+grep -q 'hostperf: ACCEPT fingerprint=0xa49ad3104b1c2d9a ' <<<"$HOSTPERF_OUT"
 
 # The memory-model gate: every litmus outcome the multi-core machine
 # produces must be allowed by the operational reference model, on every

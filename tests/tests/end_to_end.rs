@@ -7,7 +7,7 @@
 
 use aim_isa::Interpreter;
 use aim_lsq::LsqConfig;
-use aim_pipeline::{BackendChoice, MachineClass, simulate_with_trace, SimConfig, SimStats};
+use aim_pipeline::{BackendChoice, Machine, MachineClass, SimConfig, SimStats};
 use aim_predictor::EnforceMode;
 use aim_workloads::{all, by_name, Scale};
 
@@ -15,7 +15,7 @@ fn run(name: &str, program: &aim_isa::Program, cfg: &SimConfig) -> SimStats {
     let trace = Interpreter::new(program)
         .run(2_000_000)
         .unwrap_or_else(|e| panic!("{name}: interpreter failed: {e}"));
-    simulate_with_trace(program, &trace, cfg)
+    Machine::new(program, &trace, cfg.clone()).run()
         .unwrap_or_else(|e| panic!("{name} under {}: {e}", cfg.backend.name()))
 }
 

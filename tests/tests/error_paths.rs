@@ -3,7 +3,7 @@
 //! mis-simulation.
 
 use aim_isa::{Assembler, Interpreter, Reg};
-use aim_pipeline::{BackendChoice, MachineClass, simulate, simulate_pipeview, simulate_traced, SimConfig, SimError};
+use aim_pipeline::{BackendChoice, MachineClass, simulate, SimConfig, SimError};
 use aim_predictor::EnforceMode;
 
 fn r(i: u8) -> Reg {
@@ -52,26 +52,6 @@ fn pc_out_of_range_is_a_program_error() {
         Err(SimError::Program(_)) => {}
         other => panic!("expected a program error, got {other:?}"),
     }
-}
-
-/// The traced and pipeview entry points propagate the same typed error.
-#[test]
-fn all_entry_points_propagate_program_errors() {
-    let mut asm = Assembler::new();
-    asm.movi(r(1), 0x1003);
-    asm.sw(r(1), r(1), 0);
-    asm.halt();
-    let program = asm.assemble().unwrap();
-    let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
-
-    assert!(matches!(
-        simulate_traced(&program, &cfg),
-        Err(SimError::Program(_))
-    ));
-    assert!(matches!(
-        simulate_pipeview(&program, &cfg),
-        Err(SimError::Program(_))
-    ));
 }
 
 /// An empty program (no instructions at all) is handled as a zero-length

@@ -12,7 +12,7 @@ use aim_core::{
     TrueDepRecovery,
 };
 use aim_isa::Interpreter;
-use aim_pipeline::{simulate_with_trace, BackendConfig, OutputDepRecovery, SimConfig};
+use aim_pipeline::{BackendConfig, Machine, OutputDepRecovery, SimConfig};
 use aim_predictor::{EnforceMode, PredictorConfig};
 use aim_workloads::stress::random_program;
 use aim_workloads::Xorshift;
@@ -97,7 +97,7 @@ fn thousand_random_machines() {
         let trace = Interpreter::new(&program).run(1_000_000).unwrap();
         assert!(trace.halted(), "case {case}");
         let cfg = random_config(&mut rng);
-        let stats = simulate_with_trace(&program, &trace, &cfg)
+        let stats = Machine::new(&program, &trace, cfg.clone()).run()
             .unwrap_or_else(|e| panic!("case {case}: {e}\nconfig: {cfg:?}"));
         assert_eq!(stats.retired, trace.len() as u64, "case {case}");
     }

@@ -7,14 +7,14 @@
 
 use aim_isa::Interpreter;
 use aim_lsq::LsqConfig;
-use aim_pipeline::{BackendChoice, MachineClass, simulate_with_trace, BackendConfig, SimConfig, SimStats};
+use aim_pipeline::{BackendChoice, Machine, MachineClass, BackendConfig, SimConfig, SimStats};
 use aim_predictor::EnforceMode;
 use aim_workloads::{by_name, Scale};
 
 fn run(name: &str, cfg: &SimConfig) -> SimStats {
     let w = by_name(name, Scale::Small).expect("kernel exists");
     let trace = Interpreter::new(&w.program).run(5_000_000).expect("clean");
-    simulate_with_trace(&w.program, &trace, cfg).expect("validated")
+    Machine::new(&w.program, &trace, cfg.clone()).run().expect("validated")
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use aim_isa::Interpreter;
 use aim_lsq::LsqConfig;
-use aim_pipeline::{BackendChoice, MachineClass, simulate_with_trace, SimConfig};
+use aim_pipeline::{BackendChoice, Machine, MachineClass, SimConfig};
 use aim_predictor::EnforceMode;
 use aim_workloads::stress::random_program;
 
@@ -16,7 +16,7 @@ fn check(seed: u64, cfg: &SimConfig) {
     let trace = Interpreter::new(&p)
         .run(2_000_000)
         .unwrap_or_else(|e| panic!("seed {seed}: interpreter: {e}"));
-    let stats = simulate_with_trace(&p, &trace, cfg)
+    let stats = Machine::new(&p, &trace, cfg.clone()).run()
         .unwrap_or_else(|e| panic!("seed {seed} under {}: {e}", cfg.backend.name()));
     assert_eq!(stats.retired, trace.len() as u64, "seed {seed}");
 }
