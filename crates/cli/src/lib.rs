@@ -162,6 +162,8 @@ pub struct RunArgs {
     pub trace: usize,
     /// Render the last N retired instructions as pipeline timelines.
     pub pipeview: usize,
+    /// Print host time per pipeline stage after the run.
+    pub stage_times: bool,
     /// Worker threads for `compare` sweeps (0 = `AIM_JOBS`, then host
     /// parallelism).
     pub jobs: usize,
@@ -181,6 +183,7 @@ impl Default for RunArgs {
             filter: false,
             trace: 0,
             pipeview: 0,
+            stage_times: false,
             jobs: 0,
             paranoid: false,
         }
@@ -237,6 +240,7 @@ RUN OPTIONS (run, compare, asm):
   --filter                        MDT search filter (§4 future work)
   --trace N                       print the last N pipeline events
   --pipeview N                    draw stage timelines for the last N retirements
+  --stage-times                   print host ns per cycle spent in each pipeline stage
   --jobs N                        worker threads for compare sweeps [AIM_JOBS/auto]
   --paranoid                      run the release-build integrity checks every cycle
 
@@ -297,6 +301,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
             "--filter" => run.filter = true,
             "--pipeview" => run.pipeview = number("pipeview length", &value()?)?,
             "--trace" => run.trace = number("trace length", &value()?)?,
+            "--stage-times" => run.stage_times = true,
             "--jobs" => run.jobs = number("job count", &value()?)?,
             "--paranoid" => run.paranoid = true,
             other => return Err(ParseError(format!("unknown option `{other}`"))),
@@ -437,8 +442,9 @@ fn parse_submit(mut it: std::slice::Iter<'_, String>) -> Result<Command, ParseEr
 }
 
 /// Builds the [`SimConfig`] a [`RunArgs`] describes: its [`ConfigSpec`]
-/// plus the run-only structure variants and integrity checks. (`--trace`
-/// and `--pipeview` are not configuration: they size the run's probes.)
+/// plus the run-only structure variants and integrity checks. (`--trace`,
+/// `--pipeview` and `--stage-times` are not configuration: they choose the
+/// run's probes.)
 pub fn build_config(args: &RunArgs) -> SimConfig {
     let mut cfg = args.config.to_config();
     if let BackendConfig::SfcMdt { sfc, mdt } = &mut cfg.backend {
@@ -743,6 +749,10 @@ mod tests {
             .unwrap_err()
             .0
             .contains("bad trace length"));
+        let Command::Run(args) = parse(&["run", "mcf", "--stage-times"]).unwrap() else {
+            panic!("expected run");
+        };
+        assert!(args.stage_times);
     }
 
     #[test]

@@ -7,10 +7,13 @@ use aim_cli::{
     build_config, compare_column, parse_args, report, BackendChoice, Command, LitmusArgs, RunArgs,
     ServeArgs, SubmitArgs, USAGE,
 };
-use aim_pipeline::{pipeview, EventLog, Machine, Pipeview, SimError, DEFAULT_INSTR_BUDGET};
+use aim_pipeline::{
+    pipeview, EventLog, Machine, Pipeview, SimError, StageTimes, DEFAULT_INSTR_BUDGET,
+};
 
 /// Simulates `program` and prints its report, then the last `--trace N`
-/// events and the last `--pipeview N` retirement timelines of the same run.
+/// events, the last `--pipeview N` retirement timelines and the
+/// `--stage-times` table, all of the same run.
 fn run_program(name: &str, program: &aim_isa::Program, args: &RunArgs) -> Result<(), String> {
     let cfg = build_config(args);
     let trace = aim_isa::Interpreter::new(program)
@@ -18,15 +21,18 @@ fn run_program(name: &str, program: &aim_isa::Program, args: &RunArgs) -> Result
         .map_err(|e| SimError::Program(e.to_string()).to_string())?;
     let backend = cfg.backend.name();
     let machine = Machine::new(program, &trace, cfg);
-    let mut probe = (EventLog::new(args.trace), Pipeview::new(args.pipeview));
+    let mut probe = (
+        (EventLog::new(args.trace), Pipeview::new(args.pipeview)),
+        args.stage_times.then(StageTimes::new),
+    );
     // Unobserved runs take the `()` probe, whose event sites compile away.
-    let stats = if args.trace == 0 && args.pipeview == 0 {
+    let stats = if args.trace == 0 && args.pipeview == 0 && !args.stage_times {
         machine.run()
     } else {
         machine.run_with(&mut probe)
     };
     let stats = stats.map_err(|e| e.to_string())?;
-    let (log, view) = probe;
+    let ((log, view), times) = probe;
     print!("{}", report(name, &backend, &stats));
     if args.trace > 0 {
         let lines = log.into_vec();
@@ -39,6 +45,9 @@ fn run_program(name: &str, program: &aim_isa::Program, args: &RunArgs) -> Result
         let records = view.into_vec();
         println!("-- last {} retirements --", records.len());
         print!("{}", pipeview::render(&records, 64));
+    }
+    if let Some(times) = times {
+        print!("{}", times.render());
     }
     Ok(())
 }
@@ -302,11 +311,11 @@ fn main() -> ExitCode {
         Command::Serve(args) => run_serve(&args),
         Command::Submit(args) => run_submit(&args),
         Command::Compare(args) => {
-            if args.trace == 0 && args.pipeview == 0 {
+            if args.trace == 0 && args.pipeview == 0 && !args.stage_times {
                 compare_parallel(&args)
             } else {
-                // Event traces and pipeview records only surface through the
-                // sequential single-run path.
+                // Event traces, pipeview records and stage times only
+                // surface through the sequential single-run path.
                 BackendChoice::ALL
                     .iter()
                     .try_for_each(|&backend| run_one(&compare_column(&args, backend)))

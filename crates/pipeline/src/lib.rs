@@ -86,7 +86,7 @@ pub use machine::{Core, FinalState, Machine, SimError};
 pub use multi::{run_litmus, CoreSchedule, MultiFinalState, MultiMachine, MultiStats};
 pub use spec::{ConfigSpec, JobSpec};
 pub use pipeview::{PipeRecord, Pipeview};
-pub use probe::{Event, EventLog, Probe};
+pub use probe::{Event, EventLog, Probe, Stage, StageTimes};
 pub use rename::{PhysReg, RenameDest, Renamer};
 pub use rob::{InFlight, InstrState, Rob};
 pub use stats::{DispatchStalls, FlushCounts, HostPerf, ReplayCounts, SampledStats, SimStats};

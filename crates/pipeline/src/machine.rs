@@ -13,7 +13,7 @@ use aim_predictor::{Gshare, OracleBoost, ProducerSetPredictor, TagScoreboard};
 use aim_types::SeqNum;
 
 use crate::config::SimConfig;
-use crate::probe::Probe;
+use crate::probe::{Probe, Stage};
 use crate::recover::PendingViolation;
 use crate::rename::Renamer;
 use crate::rob::{InFlight, Rob};
@@ -286,19 +286,25 @@ impl<'a> Core<'a> {
 
     /// Advances the core by one cycle: retire, then (unless halted)
     /// complete/issue/dispatch/fetch, with the per-core deadlock check.
+    /// The probe's [`Probe::stage`] marks the end of each stage.
     /// This is the multi-core scheduling quantum — the single-core
     /// [`Machine::run`] loop calls it back to back.
     pub(crate) fn step<P: Probe>(&mut self, probe: &mut P) -> Result<(), SimError> {
         self.cycle += 1;
         self.retire(probe)?;
+        probe.stage(Stage::Retire);
         if self.halted {
             self.debug_check_filter_census();
             return Ok(());
         }
         self.complete(probe);
+        probe.stage(Stage::Complete);
         self.issue(probe);
+        probe.stage(Stage::Issue);
         self.dispatch(probe);
+        probe.stage(Stage::Dispatch);
         self.fetch();
+        probe.stage(Stage::Fetch);
 
         if self.cycle - self.last_retire_cycle > DEADLOCK_CYCLES {
             return Err(SimError::Deadlock(format!(

@@ -64,7 +64,7 @@ use aim_isa::Retired;
 use aim_types::{MemAccess, SeqNum};
 
 use crate::machine::{Core, SimError};
-use crate::probe::Probe;
+use crate::probe::{Probe, Stage};
 use crate::stats::SampledStats;
 
 /// Memory operations held in flight between warm execute and warm (lagged)
@@ -249,6 +249,7 @@ impl Core<'_> {
                 if jitter > 0 {
                     let rate = warm_rate(&windows);
                     self.warm_to((period_begin + jitter).min(total), rate, &mut coverage)?;
+                    probe.stage(Stage::Warm);
                     if self.stats.retired >= total {
                         // The program ended inside this period's leading
                         // warm stretch: no window measured, so the stretch
@@ -302,6 +303,7 @@ impl Core<'_> {
                 let warm_target = (period_begin + spec.period_insts()).min(total);
                 if warm_target > self.stats.retired {
                     self.warm_to(warm_target, warm_rate(&windows), &mut coverage)?;
+                    probe.stage(Stage::Warm);
                 }
             }
         }
@@ -309,6 +311,7 @@ impl Core<'_> {
         // into the last period's stratum below).
         if self.stats.retired < total {
             self.warm_to(total, warm_rate(&windows), &mut coverage)?;
+            probe.stage(Stage::Warm);
         }
         self.halted = true;
         self.target_retired = total;
