@@ -13,7 +13,9 @@
 //! fingerprint. With `--check`, the matrix is replayed on a single worker
 //! and the run fails unless both fingerprints agree (the jobs=N ≡ jobs=1
 //! determinism property); `scripts/tier1.sh` greps the resulting
-//! `hostperf: ACCEPT` acceptance line.
+//! `hostperf: ACCEPT` acceptance line and the `hostperf: huge-far800`
+//! fingerprint line, which pins the 4096-entry huge machine behind the
+//! 800-cycle far tier.
 
 use aim_bench::{
     csv_path_from_args, fingerprint_stats, has_flag, jobs_from_args, rule, run_matrix,
@@ -72,7 +74,8 @@ fn main() {
     // require the architectural-stats fingerprint to be bit-identical
     // (jobs=N ≡ jobs=1 determinism), then (2) replay every cell as the sole
     // core of a MultiMachine and require the same fingerprint again — the
-    // multi-core refactor's N=1 contract, checked over the full matrix.
+    // multi-core refactor's N=1 contract, checked over the full matrix — and
+    // (3) print the huge-far800 matrix's fingerprint for tier-1 to pin.
     let verdict = if has_flag("--check") {
         let serial = run_matrix(&prepared, &spec.configs, 1);
         let replay = stats_fingerprint(&serial);
@@ -96,6 +99,21 @@ fn main() {
             std::process::exit(1);
         }
         println!("hostperf: multi-core N=1 fingerprint matches single-core ({n1:#018x})");
+        // (3) Pin the kilo-entry window too: the six `huge-far800-*`
+        // far-memory rows over every kernel, kernel-major (at full scale
+        // this is the benchmark's `window` fingerprint). Only here does the
+        // 4096-entry ROB wrap the scheduler's ready set under the far tier.
+        let far: Vec<_> = specs::farmem_configs()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("huge-far800-"))
+            .map(|(name, spec)| (name, spec.to_config()))
+            .collect();
+        let far_fp = stats_fingerprint(&run_matrix(&prepared, &far, jobs));
+        println!(
+            "hostperf: huge-far800 fingerprint={far_fp:#018x} configs={} kernels={}",
+            far.len(),
+            prepared.len()
+        );
         "ACCEPT"
     } else {
         "ACCEPT"

@@ -167,7 +167,7 @@ pub struct RunArgs {
     /// Worker threads for `compare` sweeps (0 = `AIM_JOBS`, then host
     /// parallelism).
     pub jobs: usize,
-    /// Run the wakeup-list and store-census integrity checks even in
+    /// Run the select oracle and store-census integrity checks even in
     /// release builds.
     pub paranoid: bool,
 }

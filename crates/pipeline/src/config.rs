@@ -99,10 +99,10 @@ pub struct SimConfig {
     /// possible alias — so no anti-dependence check is needed. Off by
     /// default (the paper's evaluated design has no filter).
     pub mdt_filter: bool,
-    /// Run the wakeup-list and store-census integrity checks even in
-    /// release builds (they always run under `debug_assertions`). Wired to
-    /// the `--paranoid` CLI flag; off by default because the censuses are
-    /// O(window) per cycle.
+    /// Run the select oracle (the ready set against a whole-window scan)
+    /// and the store-census integrity checks even in release builds (they
+    /// always run under `debug_assertions`). Wired to the `--paranoid` CLI
+    /// flag; off by default because both are O(window) per cycle.
     pub paranoid: bool,
     /// Validate every retirement against the golden interpreter trace
     /// (value, address, and path checks). On by default — this is the

@@ -91,8 +91,11 @@ impl Core<'_> {
             }
 
             probe.event(self.cycle, &Event::Dispatch(&entry));
+            let unready = entry.srcs.map(|s| s.filter(|&p| !self.renamer.is_ready(p)));
+            let tag_list = entry.dep_consumes.and_then(|t| self.tags.payload_mut(t));
+            self.sched
+                .enroll(self.rob.stable_of(self.rob.len()), seq, unready, tag_list);
             self.rob.push(entry);
-            self.waiting.push_back(self.rob.stable_of(self.rob.len() - 1));
             self.stats.dispatched += 1;
         }
     }

@@ -23,50 +23,72 @@ pub(crate) enum MemOutcome {
 
 impl Core<'_> {
     pub(crate) fn issue<P: Probe>(&mut self, probe: &mut P) {
-        let mut budget = self.config.issue_width;
-        let free_events = self.backend.free_event_count();
-        let head_seq = self.rob.head().map(|h| h.seq);
+        if self.sched.has_sleepers() {
+            self.sched.wake_sleepers(self.backend.free_event_count());
+        }
+        let expected = self.checks_enabled().then(|| self.select_oracle());
         let mut to_issue = std::mem::take(&mut self.issue_scratch);
         to_issue.clear();
-        self.debug_check_wakeup_list();
-
-        // Walk the wakeup list — exactly the Waiting entries, oldest first —
-        // rather than the whole window; selected entries leave the list (a
-        // replay re-inserts them).
-        let mut pos = 0;
-        while pos < self.waiting.len() && budget > 0 {
-            let idx = self.rob.index_of_stable(self.waiting[pos]);
-            let e = self.rob.get_at(idx);
-            debug_assert_eq!(e.state, InstrState::Waiting, "wakeup list drifted");
-            let at_head = Some(e.seq) == head_seq;
-            if let Some(snapshot) = e.stall_until_free_event {
-                if free_events <= snapshot && !at_head {
-                    pos += 1;
-                    continue;
-                }
-            }
-            if !e.srcs.iter().flatten().all(|&p| self.renamer.is_ready(p)) {
-                pos += 1;
-                continue;
-            }
-            if let Some(tag) = e.dep_consumes {
-                if !self.tags.is_ready(tag) && !at_head {
-                    pos += 1;
-                    continue;
-                }
-            }
-            to_issue.push((e.seq, idx));
-            budget -= 1;
-            self.waiting.remove(pos);
+        let head = (!self.rob.is_empty()).then(|| self.rob.stable_of(0));
+        self.sched
+            .select(head, self.config.issue_width, &mut to_issue);
+        if let Some(expected) = expected {
+            assert_eq!(to_issue, expected, "ready-set select diverged from the scan");
         }
 
-        // The captured queue positions stay valid across the whole drain:
-        // executing an instruction never pushes, retires, or squashes ROB
-        // entries — it only mutates their fields.
-        for (seq, idx) in to_issue.drain(..) {
+        // Queue positions stay valid across the whole drain: executing an
+        // instruction never pushes, retires, or squashes ROB entries — it
+        // only mutates their fields.
+        for &pos in &to_issue {
+            let idx = self.rob.index_of_stable(pos);
+            let seq = self.rob.get_at(idx).seq;
             self.start_execute(seq, idx, probe);
         }
         self.issue_scratch = to_issue;
+    }
+
+    /// The select oracle: re-derives this cycle's selection by scanning the
+    /// whole window with the per-entry wake predicate — every source
+    /// written, the consumed tag ready, the stall bit's free event seen,
+    /// with the pending-tag and stall-bit exemptions at the ROB head — and
+    /// checks the ready set on the way: a bit is set exactly for the
+    /// waiting entries that meet the predicate without exemption. Returns
+    /// the oldest `issue_width` eligible stable positions.
+    fn select_oracle(&self) -> Vec<u64> {
+        let free_events = self.backend.free_event_count();
+        let mut selected = Vec::new();
+        let mut ready = 0;
+        let head = self.rob.stable_of(0);
+        for (pos, e) in (head..).zip(self.rob.iter()) {
+            let waiting = e.state == InstrState::Waiting;
+            assert_eq!(
+                self.sched.is_waiting(pos, e.seq),
+                waiting,
+                "scheduler slot drifted from ROB entry {}",
+                e.seq
+            );
+            let mut is_ready = false;
+            if waiting {
+                let [a, b] = e.srcs;
+                let srcs = a.is_none_or(|p| self.renamer.is_ready(p))
+                    && b.is_none_or(|p| self.renamer.is_ready(p));
+                let tag = e.dep_consumes.is_none_or(|t| self.tags.is_ready(t));
+                let stall = e.stall_until_free_event.is_none_or(|s| free_events > s);
+                is_ready = srcs && tag && stall;
+                if (is_ready || (srcs && pos == head)) && selected.len() < self.config.issue_width {
+                    selected.push(pos);
+                }
+            }
+            assert_eq!(
+                self.sched.is_ready(pos),
+                is_ready,
+                "ready bit of entry {} disagrees with its wake predicate",
+                e.seq
+            );
+            ready += is_ready as usize;
+        }
+        assert_eq!(self.sched.ready_count(), ready, "ready bit outside the window");
+        selected
     }
 
     fn src_values(&self, idx: usize) -> (u64, u64) {
@@ -183,15 +205,15 @@ impl Core<'_> {
         // instruction must retry every cycle instead.
         let stall = allow_stall && self.config.stall_bits && self.backend.uses_stall_bits();
         let free_events = self.backend.free_event_count();
-        // Back onto the wakeup list, in (stable-position) order.
-        let stable = self.rob.stable_of(idx);
-        let at = self.waiting.partition_point(|&s| s < stable);
-        debug_assert_ne!(self.waiting.get(at), Some(&stable), "double replay");
-        self.waiting.insert(at, stable);
+        let pos = self.rob.stable_of(idx);
         let e = self.rob.get_at_mut(idx);
         e.state = InstrState::Waiting;
         e.replayed = true;
         e.stall_until_free_event = stall.then_some(free_events);
+        // Still pending only if it issued by the head exemption.
+        let tag_pending = e.dep_consumes.is_some_and(|t| !self.tags.is_ready(t));
+        self.sched
+            .replay(pos, e.seq, tag_pending, e.stall_until_free_event);
         probe.event(self.cycle, &Event::Replay(e));
     }
 
@@ -201,34 +223,8 @@ impl Core<'_> {
     ///
     /// [`SimConfig::paranoid`]: crate::SimConfig::paranoid
     #[inline]
-    fn checks_enabled(&self) -> bool {
+    pub(crate) fn checks_enabled(&self) -> bool {
         cfg!(debug_assertions) || self.config.paranoid
-    }
-
-    /// Integrity invariant: the wakeup list holds the stable position of
-    /// every Waiting ROB entry, each exactly once, in dispatch order. Drift
-    /// would silently change the issue order (a missed entry never issues; a
-    /// stale one would trip the in-loop state assert). Runs per issue cycle
-    /// and after every squash truncation; see [`Core::checks_enabled`] for
-    /// when.
-    pub(crate) fn debug_check_wakeup_list(&self) {
-        if !self.checks_enabled() {
-            return;
-        }
-        let waiting_in_rob = self
-            .rob
-            .iter()
-            .filter(|e| e.state == InstrState::Waiting)
-            .count();
-        assert_eq!(
-            self.waiting.len(),
-            waiting_in_rob,
-            "wakeup list population drifted from ROB contents"
-        );
-        assert!(
-            self.waiting.iter().zip(self.waiting.iter().skip(1)).all(|(a, b)| a < b),
-            "wakeup list out of order"
-        );
     }
 
     /// Integrity invariant: the store census and granule filter always

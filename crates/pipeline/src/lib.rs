@@ -69,6 +69,7 @@ mod rename;
 mod retire;
 mod rob;
 pub mod sample;
+mod sched;
 mod spec;
 mod stats;
 

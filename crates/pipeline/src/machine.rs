@@ -17,6 +17,7 @@ use crate::probe::{Probe, Stage};
 use crate::recover::PendingViolation;
 use crate::rename::Renamer;
 use crate::rob::{InFlight, Rob};
+use crate::sched::{Scheduler, WakeList};
 use crate::stats::SimStats;
 
 /// Errors terminating a simulation abnormally.
@@ -111,7 +112,9 @@ pub struct Core<'a> {
     pub(crate) memsys: CoreMemSys,
     pub(crate) backend: Box<dyn MemBackend + Send>,
     pub(crate) dep_pred: ProducerSetPredictor,
-    pub(crate) tags: TagScoreboard,
+    /// Dependence-tag readiness; each pending tag carries its consumers'
+    /// wake list.
+    pub(crate) tags: TagScoreboard<WakeList>,
     pub(crate) gshare: Gshare,
     pub(crate) oracle: OracleBoost,
 
@@ -129,19 +132,17 @@ pub struct Core<'a> {
     pub(crate) pending_violations: Vec<(SeqNum, PendingViolation)>,
 
     /// Scratch buffers reused across cycles so the steady-state loop
-    /// allocates nothing: issue's ready list, recovery's squash list, and
-    /// completion's taken-violation list keep their capacity run-long.
-    pub(crate) issue_scratch: Vec<(SeqNum, usize)>,
+    /// allocates nothing: issue's selected positions, recovery's squash
+    /// list, and completion's taken-violation list keep their capacity
+    /// run-long.
+    pub(crate) issue_scratch: Vec<u64>,
     pub(crate) squash_scratch: Vec<InFlight>,
     pub(crate) violation_scratch: Vec<PendingViolation>,
 
-    /// The scheduler's wakeup list: stable ROB positions
-    /// ([`Rob::stable_of`](crate::rob::Rob::stable_of)) of exactly the
-    /// [`InstrState::Waiting`](crate::rob::InstrState) entries, sorted in
-    /// dispatch order. The issue scan walks this instead of the whole
-    /// window; dispatch appends, issue removes, replay re-inserts, and a
-    /// squash truncates the (youngest-last) tail.
-    pub(crate) waiting: VecDeque<u64>,
+    /// The event-driven scheduler: wake conditions of every
+    /// [`InstrState::Waiting`](crate::rob::InstrState) entry, the wake
+    /// lists that meet them, and the ROB-ordered ready set select scans.
+    pub(crate) sched: Scheduler,
 
     /// §4 MDT search filter: count of in-flight stores that have not yet
     /// (successfully) executed, and a counting filter over the granules of
@@ -204,7 +205,7 @@ impl<'a> Core<'a> {
             memsys,
             backend,
             dep_pred: ProducerSetPredictor::with_config(config.dep_predictor),
-            tags: TagScoreboard::new(),
+            tags: TagScoreboard::default(),
             gshare: Gshare::new(config.gshare_counters, config.gshare_history_bits),
             oracle: OracleBoost::new(config.oracle_fix_probability, config.seed),
             fetch_pc: 0,
@@ -216,7 +217,7 @@ impl<'a> Core<'a> {
             exec_events: BinaryHeap::new(),
             pending_violations: Vec::new(),
             issue_scratch: Vec::new(),
-            waiting: VecDeque::new(),
+            sched: Scheduler::new(config.rob_entries, config.phys_regs),
             squash_scratch: Vec::new(),
             violation_scratch: Vec::new(),
             unexecuted_stores: 0,

@@ -87,11 +87,13 @@ impl Core<'_> {
         let actual_next = e.actual_next_pc;
         probe.event(cycle, &Event::Complete(e));
 
+        // Wake the consumers now: they can issue this very cycle.
         if let Some(d) = dest {
             self.renamer.write(d.new_phys, result);
+            self.sched.wake_reg(d.new_phys);
         }
-        if let Some(tag) = produces {
-            self.tags.mark_ready(tag);
+        if let Some(list) = produces.and_then(|tag| self.tags.mark_ready(tag)) {
+            self.sched.wake(list);
         }
 
         // Control resolution.
@@ -204,11 +206,10 @@ impl Core<'_> {
         );
         let mut squashed = std::mem::take(&mut self.squash_scratch);
         self.rob.squash_after_into(survivor, &mut squashed);
-        // The squashed entries held the largest stable positions; drop them
-        // from the (sorted) wakeup list in one truncate.
-        let live = self.rob.stable_end();
-        let keep_waiting = self.waiting.partition_point(|&s| s < live);
-        self.waiting.truncate(keep_waiting);
+        // The squashed entries held the stable positions just past the
+        // survivors.
+        self.sched
+            .squash(self.rob.stable_of(self.rob.len()), squashed.len());
         // Pending violations are keyed by the raising instruction's sequence
         // number and the vector is sorted by it; every squashed instruction
         // is younger than `survivor`, so one truncate drops them all.
@@ -219,10 +220,12 @@ impl Core<'_> {
         for e in &squashed {
             if let Some(d) = e.dest {
                 self.renamer.undo(d);
+                // Every consumer of the register was younger: squashed too.
+                self.sched.drop_reg(d.new_phys);
             }
-            if let Some(tag) = e.dep_produces {
+            if let Some(list) = e.dep_produces.and_then(|tag| self.tags.mark_ready(tag)) {
                 // A squashed producer's dependence no longer applies.
-                self.tags.mark_ready(tag);
+                self.sched.wake(list);
             }
             if e.counted_unexecuted {
                 self.unexecuted_stores -= 1;
@@ -261,10 +264,9 @@ impl Core<'_> {
         self.fetch_stall_until = self.fetch_stall_until.max(self.cycle + penalty);
         squashed.clear();
         self.squash_scratch = squashed;
-        // The wakeup-list truncation above and the census decrements are the
-        // squash-path halves of the issue/dispatch bookkeeping; check both
-        // immediately so a drift is pinned to the recovery that caused it.
-        self.debug_check_wakeup_list();
+        // The census decrements are the squash-path half of the
+        // execute/retire bookkeeping; check it immediately so a drift is
+        // pinned to the recovery that caused it.
         self.debug_check_filter_census();
     }
 }

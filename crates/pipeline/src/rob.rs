@@ -192,10 +192,10 @@ impl Rob {
     /// The *stable position* of the entry at queue position `idx`: its queue
     /// position plus the number of entries ever retired. Unlike a raw queue
     /// position it survives head pops, and unlike a sequence number it maps
-    /// back to a queue position with one subtraction — the scheduler's
-    /// wakeup list holds these. Stable positions of live entries increase
-    /// monotonically in dispatch order; a squash frees the largest ones for
-    /// reuse (see [`Rob::stable_end`]).
+    /// back to a queue position with one subtraction — the scheduler
+    /// indexes its ready set by these. Stable positions of live entries
+    /// increase monotonically in dispatch order; a squash frees the largest
+    /// ones for reuse (`stable_of(len())` is the first free one).
     #[inline]
     pub fn stable_of(&self, idx: usize) -> u64 {
         self.base + idx as u64
@@ -207,13 +207,6 @@ impl Rob {
     pub fn index_of_stable(&self, stable: u64) -> usize {
         debug_assert!(stable >= self.base, "stable position already retired");
         (stable - self.base) as usize
-    }
-
-    /// One past the largest live stable position. After a squash, any
-    /// recorded stable position `>= stable_end()` refers to a removed entry.
-    #[inline]
-    pub fn stable_end(&self) -> u64 {
-        self.base + self.entries.len() as u64
     }
 
     pub(crate) fn index_of(&self, seq: SeqNum) -> Option<usize> {
@@ -254,10 +247,10 @@ impl Rob {
         self.index_of(seq).map(move |i| &mut self.entries[i])
     }
 
-    /// Direct lookup by queue position (as yielded by
-    /// [`Rob::iter_from_seq`]). Positions are stable only while no
-    /// push/pop/squash intervenes; the execute stage relies on this to look
-    /// an instruction up once per issue and reuse the position thereafter.
+    /// Direct lookup by queue position (see [`Rob::index_of_stable`]).
+    /// Positions are stable only while no push/pop/squash intervenes; the
+    /// execute stage relies on this to look an instruction up once per
+    /// issue and reuse the position thereafter.
     ///
     /// # Panics
     ///
@@ -305,19 +298,6 @@ impl Rob {
     /// Iterates over in-flight instructions, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &InFlight> {
         self.entries.iter()
-    }
-
-    /// Iterates oldest-first over the suffix of instructions with
-    /// `seq >= bound`, yielding each entry's queue position alongside it.
-    /// With `bound = SeqNum(0)` this covers the whole buffer; the issue
-    /// stage uses it to skip the long already-issued prefix and to capture
-    /// stable positions for [`Rob::get_at`] during the issue drain.
-    pub fn iter_from_seq(&self, bound: SeqNum) -> impl Iterator<Item = (usize, &InFlight)> {
-        let start = self.entries.partition_point(|e| e.seq < bound);
-        self.entries
-            .range(start..)
-            .enumerate()
-            .map(move |(i, e)| (start + i, e))
     }
 
     /// Iterates mutably, oldest first.

@@ -346,6 +346,10 @@ impl Core<'_> {
         coverage: &mut SampledStats,
     ) -> Result<(), SimError> {
         debug_assert!(self.rob.is_empty(), "warm engine requires a drained window");
+        // Warm register writes below wake no one: nothing may wait.
+        if self.checks_enabled() {
+            assert!(self.sched.is_idle(), "wake lists not empty across a warm stretch");
+        }
         let mut lag: VecDeque<WarmOp> = VecDeque::with_capacity(WARM_LAG);
         let mut clock_acc: u64 = 0;
         // The detailed front end touches the I-cache once per fetch group,

@@ -6,9 +6,11 @@ use aim_core::{
     CorruptionPolicy, MdtConfig, MdtTagging, PartialMatchPolicy, SetHash, SfcConfig,
     TrueDepRecovery,
 };
-use aim_isa::Interpreter;
+use aim_isa::{Interpreter, Reg};
 use aim_lsq::LsqConfig;
-use aim_pipeline::{BackendConfig, Machine, OutputDepRecovery, SimConfig};
+use aim_pipeline::{
+    BackendChoice, BackendConfig, Machine, MachineClass, OutputDepRecovery, SimConfig,
+};
 use aim_predictor::{EnforceMode, PredictorConfig};
 use aim_workloads::stress::random_program;
 use proptest::prelude::*;
@@ -167,5 +169,49 @@ proptest! {
         let stats = Machine::new(&program, &trace, cfg).run()
             .map_err(|e| TestCaseError::fail(format!("lq {lq} sq {sq}: {e}")))?;
         prop_assert_eq!(stats.retired, trace.len() as u64);
+    }
+}
+
+proptest! {
+    // Six simulations per case.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Small and odd windows against the scheduler's ready set: ROB sizes
+    /// that are not powers of two wrap its slot ring at shifting offsets,
+    /// and narrow issue widths stop select mid-scan. Every backend, with
+    /// stall bits on and off, must retire the interpreter's end state.
+    /// Debug builds also run the per-cycle select oracle in every case.
+    #[test]
+    fn small_windows_keep_final_state_parity(
+        seed in any::<u64>(),
+        rob_entries in 4usize..48,
+        issue_width in 1usize..6,
+        spare_regs in 33usize..64,
+        stall_bits in any::<bool>(),
+    ) {
+        let program = random_program(seed, 20, 20);
+        let mut interp = Interpreter::new(&program);
+        let trace = interp.run(500_000).unwrap();
+        prop_assert!(trace.halted());
+        let want_regs: Vec<u64> = (0..32).map(|i| interp.reg(Reg::new(i))).collect();
+        let want_mem = interp.memory().nonzero_bytes();
+        for choice in BackendChoice::ALL {
+            let mut cfg = SimConfig::machine(MachineClass::Baseline).backend(choice).build();
+            cfg.rob_entries = rob_entries;
+            cfg.issue_width = issue_width;
+            cfg.phys_regs = rob_entries + spare_regs;
+            cfg.stall_bits = stall_bits;
+            let label = format!(
+                "{} rob {rob_entries} issue {issue_width} regs {} stall {stall_bits}",
+                choice.token(),
+                cfg.phys_regs
+            );
+            let (stats, fin) = Machine::new(&program, &trace, cfg)
+                .run_final()
+                .map_err(|e| TestCaseError::fail(format!("{label}: {e}")))?;
+            prop_assert_eq!(stats.retired, trace.len() as u64, "{} retired short", label);
+            prop_assert_eq!(&fin.regs, &want_regs, "{} register file diverged", label);
+            prop_assert_eq!(fin.mem.nonzero_bytes(), want_mem.clone(), "{} memory diverged", label);
+        }
     }
 }

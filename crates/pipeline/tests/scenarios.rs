@@ -1,8 +1,11 @@
 //! Targeted machine-behaviour scenarios on hand-built programs.
 
 use aim_isa::{Assembler, Interpreter, Reg};
+use std::collections::{HashSet, VecDeque};
+
 use aim_pipeline::{
-    simulate, BackendChoice, BackendConfig, Machine, MachineClass, Pipeview, SimConfig, SimStats,
+    simulate, BackendChoice, BackendConfig, Event, Machine, MachineClass, Pipeview, Probe,
+    SimConfig, SimStats,
 };
 use aim_predictor::EnforceMode;
 
@@ -96,6 +99,134 @@ fn head_bypass_rescues_a_tiny_sfc() {
         "conflicts expected"
     );
     assert!(stats.head_bypasses > 0, "head bypass must engage");
+}
+
+/// §2.4.3 stall bit at the head: a store whose data sits behind a multiply
+/// chain reaches the ROB head after a younger store has taken the only SFC
+/// way. It conflicts, replays with its stall bit armed, and no SFC/MDT
+/// entry can free while it blocks retirement — so only the head-of-ROB
+/// exemption lets it issue again (then through the §2.2 bypass). Without
+/// the exemption the run deadlocks.
+#[test]
+fn stalled_store_at_the_head_issues_by_exemption() {
+    let mut asm = Assembler::new();
+    asm.movi(r(1), 200);
+    asm.movi(r(2), 0x4000);
+    asm.movi(r(3), 3);
+    asm.label("loop");
+    for _ in 0..4 {
+        asm.mul(r(3), r(3), r(3));
+    }
+    asm.sd(r(3), r(2), 0); // slow: its data waits on the chain
+    asm.sd(r(1), r(2), 64); // fast: a different line, the same (only) set
+    asm.subi(r(1), r(1), 1);
+    asm.bne(r(1), Reg::ZERO, "loop");
+    asm.halt();
+    let program = asm.assemble().unwrap();
+    let trace = Interpreter::new(&program).run(100_000).unwrap();
+
+    let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    cfg.stall_bits = true;
+    if let BackendConfig::SfcMdt { sfc, .. } = &mut cfg.backend {
+        sfc.sets = 1;
+        sfc.ways = 1;
+    }
+
+    /// Counts retirements that went through the head bypass while still
+    /// carrying the stall bit of their last replay.
+    struct StalledAtHead(u64);
+    impl Probe for StalledAtHead {
+        fn event(&mut self, _cycle: u64, event: &Event<'_>) {
+            if let Event::Retire(e) = *event {
+                if e.bypassed && e.stall_until_free_event.is_some() {
+                    self.0 += 1;
+                }
+            }
+        }
+    }
+    let mut probe = StalledAtHead(0);
+    let stats = Machine::new(&program, &trace, cfg)
+        .run_with(&mut probe)
+        .expect("the head exemption keeps the machine live");
+    assert_eq!(stats.retired, trace.len() as u64);
+    assert!(stats.replays.store_sfc_conflicts > 0, "the slow store must conflict");
+    assert!(
+        probe.0 > 0,
+        "a stall-bit store must issue from the head ({} head bypasses)",
+        stats.head_bypasses
+    );
+}
+
+/// The other head exemption — a pending dependence tag — cannot decide
+/// issue in a whole pipeline: a consumer's tag comes from an older
+/// producer, and the producer marks it ready when it completes or is
+/// squashed, so by the time the consumer is the oldest instruction its tag
+/// is ready. This probe re-derives tag readiness from the event stream and
+/// checks exactly that under total-order enforcement, where every memory
+/// instruction produces and consumes tags. (The scheduler's own unit tests
+/// exercise the exemption directly.)
+#[test]
+fn no_pending_tag_survives_to_the_head() {
+    #[derive(Default)]
+    struct TagModel {
+        in_flight: VecDeque<(u64, Option<u64>)>,
+        pending: HashSet<u64>,
+        consumers_waited: u64,
+        head_issues_pending: u64,
+    }
+    impl Probe for TagModel {
+        fn event(&mut self, _cycle: u64, event: &Event<'_>) {
+            match *event {
+                Event::Dispatch(e) => {
+                    if e.dep_consumes.is_some_and(|t| self.pending.contains(&t.0)) {
+                        self.consumers_waited += 1;
+                    }
+                    let produces = e.dep_produces.map(|t| t.0);
+                    if let Some(t) = produces {
+                        self.pending.insert(t);
+                    }
+                    self.in_flight.push_back((e.seq.0, produces));
+                }
+                Event::Issue(e) => {
+                    let at_head = self.in_flight.front().map(|f| f.0) == Some(e.seq.0);
+                    if at_head && e.dep_consumes.is_some_and(|t| self.pending.contains(&t.0)) {
+                        self.head_issues_pending += 1;
+                    }
+                }
+                Event::Complete(e) => {
+                    if let Some(t) = e.dep_produces {
+                        self.pending.remove(&t.0);
+                    }
+                }
+                Event::Recover { survivor, .. } => {
+                    while let Some(&(seq, produces)) = self.in_flight.back() {
+                        if seq <= survivor.0 {
+                            break;
+                        }
+                        self.in_flight.pop_back();
+                        if let Some(t) = produces {
+                            self.pending.remove(&t);
+                        }
+                    }
+                }
+                Event::Retire(e) => {
+                    assert_eq!(self.in_flight.pop_front().map(|f| f.0), Some(e.seq.0));
+                }
+                Event::Replay(_) => {}
+            }
+        }
+    }
+
+    let w = aim_workloads::by_name("vpr_route", aim_workloads::Scale::Tiny).unwrap();
+    let trace = Interpreter::new(&w.program).run(1_000_000).unwrap();
+    let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::TotalOrder).build();
+    let mut model = TagModel::default();
+    let stats = Machine::new(&w.program, &trace, cfg)
+        .run_with(&mut model)
+        .expect("validated");
+    assert_eq!(stats.retired, trace.len() as u64);
+    assert!(model.consumers_waited > 0, "consumers must wait on pending tags");
+    assert_eq!(model.head_issues_pending, 0, "a pending tag reached the ROB head");
 }
 
 /// Store-to-load forwarding latency: a dependent chain through memory is
@@ -415,12 +546,13 @@ fn aggressive_true_dep_recovery_squashes_less() {
     );
 }
 
-/// `--paranoid` runs the wakeup-list and store-census integrity checks in
-/// release builds too; both are invoked at the end of every
-/// `squash_and_redirect`, so a run with plenty of mispredict *and*
-/// violation squashes exercises the truncation bookkeeping directly: any
-/// entry the squash path leaves dangling (or any census it fails to
-/// decrement) trips a hard assert instead of surfacing cycles later.
+/// `--paranoid` runs the select oracle and the store-census integrity
+/// checks in release builds too: the census at the end of every
+/// `squash_and_redirect`, the oracle at the next issue. A run with plenty
+/// of mispredict *and* violation squashes exercises the squash bookkeeping
+/// directly: any ready bit or wake record the squash path leaves dangling
+/// (or any census it fails to decrement) trips a hard assert instead of
+/// surfacing cycles later.
 #[test]
 fn paranoid_checks_survive_heavy_squashing() {
     let mut asm = Assembler::new();

@@ -175,7 +175,7 @@ impl ProducerSetPredictor {
     /// tags: the CT is read first (consuming the set's last-fetched
     /// producer's tag), then the PT makes this instruction the set's new
     /// last-fetched producer.
-    pub fn on_dispatch(&mut self, pc: u64, tags: &mut TagScoreboard) -> DepHints {
+    pub fn on_dispatch<L: Default>(&mut self, pc: u64, tags: &mut TagScoreboard<L>) -> DepHints {
         if self.config.clear_interval > 0 {
             self.dispatches_since_clear += 1;
             if self.dispatches_since_clear >= self.config.clear_interval {

@@ -1,6 +1,6 @@
 //! Dependence tags and the scheduler-side tag scoreboard.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// A renamed dependence tag.
 ///
@@ -23,8 +23,17 @@ pub struct DepTag(pub u64);
 /// * The producer marks the tag ready when it completes
 ///   ([`TagScoreboard::mark_ready`]). A squashed producer also marks its tag
 ///   ready so surviving consumers can never deadlock on it.
-/// * Tags unknown to the scoreboard (already purged) read as ready, which is
-///   the correct semantics for a tag whose producer has long retired.
+///
+/// The scoreboard is a dense window of tags, from the oldest tag it still
+/// tracks to the newest allocated. Marking a tag ready drops the window's
+/// ready prefix, so memory stays bounded by the tags allocated since the
+/// oldest pending one. Tags older than the window (their producers long
+/// done) and tags never allocated read as ready.
+///
+/// Each pending tag carries a payload of type `L`, default-initialised at
+/// [`alloc`](TagScoreboard::alloc) and handed back by
+/// [`mark_ready`](TagScoreboard::mark_ready): an event-driven scheduler
+/// hangs the tag's consumer list there.
 ///
 /// # Examples
 ///
@@ -36,49 +45,75 @@ pub struct DepTag(pub u64);
 /// assert!(!sb.is_ready(t));
 /// sb.mark_ready(t);
 /// assert!(sb.is_ready(t));
+/// assert_eq!(sb.tracked(), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct TagScoreboard {
-    next: u64,
-    pending: HashMap<DepTag, bool>,
+#[derive(Debug, Clone)]
+pub struct TagScoreboard<L = ()> {
+    /// The tag number of `window[0]`.
+    base: u64,
+    /// Tags `base..base + window.len()`: `None` once ready, else the
+    /// pending tag's payload.
+    window: VecDeque<Option<L>>,
 }
 
 impl TagScoreboard {
-    /// Creates an empty scoreboard.
+    /// Creates an empty scoreboard without per-tag payloads.
     pub fn new() -> TagScoreboard {
         TagScoreboard::default()
     }
+}
 
+impl<L> Default for TagScoreboard<L> {
+    fn default() -> TagScoreboard<L> {
+        TagScoreboard {
+            base: 0,
+            window: VecDeque::new(),
+        }
+    }
+}
+
+impl<L: Default> TagScoreboard<L> {
     /// Allocates a fresh, not-ready tag.
     pub fn alloc(&mut self) -> DepTag {
-        let tag = DepTag(self.next);
-        self.next += 1;
-        self.pending.insert(tag, false);
+        let tag = DepTag(self.base + self.window.len() as u64);
+        self.window.push_back(Some(L::default()));
         tag
     }
 
-    /// Whether `tag`'s producer has completed (or the tag has been retired
-    /// out of the scoreboard).
+    fn slot(&self, tag: DepTag) -> Option<&Option<L>> {
+        tag.0
+            .checked_sub(self.base)
+            .and_then(|i| self.window.get(i as usize))
+    }
+
+    /// Whether `tag`'s producer has completed (or the tag is older than the
+    /// window, or was never allocated).
     pub fn is_ready(&self, tag: DepTag) -> bool {
-        self.pending.get(&tag).copied().unwrap_or(true)
+        !matches!(self.slot(tag), Some(Some(_)))
     }
 
-    /// Marks `tag` ready (producer completed, retired, or was squashed).
-    pub fn mark_ready(&mut self, tag: DepTag) {
-        if let Some(r) = self.pending.get_mut(&tag) {
-            *r = true;
+    /// The payload of a pending `tag`; `None` if it reads ready.
+    pub fn payload_mut(&mut self, tag: DepTag) -> Option<&mut L> {
+        let i = tag.0.checked_sub(self.base)?;
+        self.window.get_mut(i as usize)?.as_mut()
+    }
+
+    /// Marks `tag` ready (producer completed or was squashed) and returns
+    /// its payload, or `None` if it already read ready.
+    pub fn mark_ready(&mut self, tag: DepTag) -> Option<L> {
+        let i = tag.0.checked_sub(self.base)?;
+        let payload = self.window.get_mut(i as usize)?.take();
+        while matches!(self.window.front(), Some(None)) {
+            self.window.pop_front();
+            self.base += 1;
         }
+        payload
     }
 
-    /// Drops bookkeeping for tags older than `floor` (all read as ready
-    /// afterwards). Call with the oldest in-flight tag to bound memory.
-    pub fn purge_older_than(&mut self, floor: DepTag) {
-        self.pending.retain(|t, _| *t >= floor);
-    }
-
-    /// Number of tags currently tracked.
+    /// Number of tags in the window: from the oldest pending tag to the
+    /// newest allocated one (0 when none is pending).
     pub fn tracked(&self) -> usize {
-        self.pending.len()
+        self.window.len()
     }
 }
 
@@ -99,24 +134,35 @@ mod tests {
         let mut sb = TagScoreboard::new();
         let t = sb.alloc();
         assert!(!sb.is_ready(t));
-        sb.mark_ready(t);
+        assert_eq!(sb.mark_ready(t), Some(()));
         assert!(sb.is_ready(t));
+        assert_eq!(sb.mark_ready(t), None, "a second mark finds nothing");
     }
 
     #[test]
     fn unknown_tags_read_ready() {
-        let sb = TagScoreboard::new();
+        let mut sb = TagScoreboard::new();
         assert!(sb.is_ready(DepTag(999)));
+        let t = sb.alloc();
+        assert!(sb.is_ready(DepTag(t.0 + 1)), "not yet allocated");
     }
 
     #[test]
-    fn purge_makes_old_tags_ready_and_bounds_memory() {
-        let mut sb = TagScoreboard::new();
+    fn ready_prefix_is_dropped_and_payloads_come_back() {
+        let mut sb: TagScoreboard<u32> = TagScoreboard::default();
         let a = sb.alloc();
         let b = sb.alloc();
-        sb.purge_older_than(b);
-        assert!(sb.is_ready(a)); // purged => ready
-        assert!(!sb.is_ready(b)); // still tracked, still pending
-        assert_eq!(sb.tracked(), 1);
+        let c = sb.alloc();
+        *sb.payload_mut(b).unwrap() = 7;
+        // Out of order: b's slot stays in the window behind pending a.
+        assert_eq!(sb.mark_ready(b), Some(7));
+        assert_eq!(sb.tracked(), 3);
+        assert!(sb.payload_mut(b).is_none());
+        assert_eq!(sb.mark_ready(a), Some(0));
+        assert_eq!(sb.tracked(), 1, "a and b dropped, c pending");
+        assert!(sb.is_ready(a) && sb.is_ready(b) && !sb.is_ready(c));
+        sb.mark_ready(c);
+        assert_eq!(sb.tracked(), 0);
+        assert!(sb.is_ready(c));
     }
 }

@@ -54,34 +54,36 @@ proptest! {
         prop_assert_eq!(pred.on_dispatch(2, &mut tags).consumes, last);
     }
 
-    /// Tag numbers from the scoreboard are strictly increasing and tags
-    /// become ready exactly once marked (or once purged).
+    /// Model check of the scoreboard's dense window: tag numbers are
+    /// strictly increasing, a tag reads ready exactly once marked (or if
+    /// never allocated), and the window holds exactly the tags from the
+    /// oldest pending one to the newest, so a long run of producers that
+    /// complete never grows it.
     #[test]
-    fn tag_scoreboard_orders_and_readies(n in 1usize..200, ready_every in 1usize..7) {
+    fn tag_scoreboard_matches_model(ops in proptest::collection::vec((any::<bool>(), 0usize..64), 1..300)) {
         let mut sb = TagScoreboard::new();
-        let mut prev: Option<DepTag> = None;
-        let mut marked = Vec::new();
-        for i in 0..n {
-            let t = sb.alloc();
-            if let Some(p) = prev {
-                prop_assert!(t > p);
+        let mut model: Vec<bool> = Vec::new(); // model[t] = ready
+        for &(alloc, pick) in &ops {
+            if alloc || model.is_empty() {
+                let t = sb.alloc();
+                prop_assert_eq!(t, DepTag(model.len() as u64));
+                model.push(false);
+            } else {
+                let t = pick % model.len();
+                let was_pending = !model[t];
+                prop_assert_eq!(sb.mark_ready(DepTag(t as u64)).is_some(), was_pending);
+                model[t] = true;
             }
-            prev = Some(t);
-            if i % ready_every == 0 {
-                sb.mark_ready(t);
-                marked.push(t);
+            for (t, &ready) in model.iter().enumerate() {
+                prop_assert_eq!(sb.is_ready(DepTag(t as u64)), ready, "tag {}", t);
             }
+            prop_assert!(sb.is_ready(DepTag(model.len() as u64)), "unallocated reads ready");
+            let window = model
+                .iter()
+                .position(|&r| !r)
+                .map_or(0, |oldest| model.len() - oldest);
+            prop_assert_eq!(sb.tracked(), window);
         }
-        for t in &marked {
-            prop_assert!(sb.is_ready(*t));
-        }
-        // Purge everything: all old tags read ready.
-        let floor = sb.alloc();
-        sb.purge_older_than(floor);
-        if let Some(p) = prev {
-            prop_assert!(sb.is_ready(p));
-        }
-        prop_assert!(!sb.is_ready(floor));
     }
 
     /// NOT-ENF never constrains instructions after anti/output violations,

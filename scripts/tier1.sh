@@ -90,6 +90,9 @@ HOSTPERF_OUT="$(AIM_HOSTPERF_JSON="$(mktemp)" \
   cargo run --release -q -p aim-bench --bin table_hostperf -- --scale tiny --check)"
 grep -q 'hostperf: multi-core N=1 fingerprint matches single-core' <<<"$HOSTPERF_OUT"
 grep -q 'hostperf: ACCEPT fingerprint=0xa49ad3104b1c2d9a ' <<<"$HOSTPERF_OUT"
+# The same run pins the kilo-entry window: the six huge-far800 backends
+# (4096-entry ROB behind the 800-cycle far tier) over every tiny kernel.
+grep -q 'hostperf: huge-far800 fingerprint=0xa32569539e722595 ' <<<"$HOSTPERF_OUT"
 
 # The memory-model gate: every litmus outcome the multi-core machine
 # produces must be allowed by the operational reference model, on every
