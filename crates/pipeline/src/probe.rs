@@ -172,8 +172,8 @@ impl<P: Probe> Probe for Option<P> {
 /// let cfg = SimConfig::machine(MachineClass::Baseline).build();
 /// let stats = Machine::new(&program, &trace, cfg).run_with(&mut times).unwrap();
 /// assert_eq!(times.cycles(), stats.cycles);
+/// assert_eq!(times.ns(Stage::Warm), 0, "an unsampled run has no warm stretch");
 /// assert!(times.render().contains("issue"));
-/// # let _ = times.ns(Stage::Issue);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StageTimes {
@@ -199,7 +199,7 @@ impl StageTimes {
     }
 
     /// A table of each stage's ns per detailed cycle and share of the
-    /// total, one line per stage that was charged any time.
+    /// total; the warm line only for a sampled run.
     pub fn render(&self) -> String {
         let total: u64 = self.ns.iter().sum();
         let cycles = self.cycles.max(1) as f64;

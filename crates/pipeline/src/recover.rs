@@ -220,8 +220,10 @@ impl Core<'_> {
         for e in &squashed {
             if let Some(d) = e.dest {
                 self.renamer.undo(d);
-                // Every consumer of the register was younger: squashed too.
-                self.sched.drop_reg(d.new_phys);
+                // Every consumer of the register was younger and is squashed
+                // too, so this wakes no one; it empties the list before the
+                // register is renamed again.
+                self.sched.wake_reg(d.new_phys);
             }
             if let Some(list) = e.dep_produces.and_then(|tag| self.tags.mark_ready(tag)) {
                 // A squashed producer's dependence no longer applies.

@@ -244,19 +244,6 @@ impl Scheduler {
         self.wake(list);
     }
 
-    /// Register `p`'s producer was squashed, and with it every consumer:
-    /// free its list without waking anyone.
-    pub(crate) fn drop_reg(&mut self, p: PhysReg) {
-        let list = std::mem::take(&mut self.regs[p.0 as usize]);
-        let mut at = list.0;
-        while at != NIL {
-            let next = self.nodes[at as usize].next;
-            self.nodes[at as usize].next = self.free;
-            self.free = at;
-            at = next;
-        }
-    }
-
     /// Whether any stall-bit instruction sleeps.
     pub(crate) fn has_sleepers(&self) -> bool {
         !self.sleepers.is_empty()
