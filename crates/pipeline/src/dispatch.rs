@@ -93,8 +93,8 @@ impl Core<'_> {
             probe.event(self.cycle, &Event::Dispatch(&entry));
             let unready = entry.srcs.map(|s| s.filter(|&p| !self.renamer.is_ready(p)));
             let tag_list = entry.dep_consumes.and_then(|t| self.tags.payload_mut(t));
-            self.sched
-                .enroll(self.rob.stable_of(self.rob.len()), seq, unready, tag_list);
+            let pos = self.rob.stable_of(self.rob.len());
+            self.sched.enroll(pos, seq, unready, tag_list);
             self.rob.push(entry);
             self.stats.dispatched += 1;
         }

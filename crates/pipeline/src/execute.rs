@@ -30,8 +30,7 @@ impl Core<'_> {
         let mut to_issue = std::mem::take(&mut self.issue_scratch);
         to_issue.clear();
         let head = (!self.rob.is_empty()).then(|| self.rob.stable_of(0));
-        self.sched
-            .select(head, self.config.issue_width, &mut to_issue);
+        self.sched.select(head, self.config.issue_width, &mut to_issue);
         if let Some(expected) = expected {
             assert_eq!(to_issue, expected, "ready-set select diverged from the scan");
         }
@@ -204,16 +203,15 @@ impl Core<'_> {
         // ordering, not capacity), a stall bit would never clear and the
         // instruction must retry every cycle instead.
         let stall = allow_stall && self.config.stall_bits && self.backend.uses_stall_bits();
-        let free_events = self.backend.free_event_count();
+        let snapshot = stall.then(|| self.backend.free_event_count());
         let pos = self.rob.stable_of(idx);
         let e = self.rob.get_at_mut(idx);
         e.state = InstrState::Waiting;
         e.replayed = true;
-        e.stall_until_free_event = stall.then_some(free_events);
+        e.stall_until_free_event = snapshot;
         // Still pending only if it issued by the head exemption.
         let tag_pending = e.dep_consumes.is_some_and(|t| !self.tags.is_ready(t));
-        self.sched
-            .replay(pos, e.seq, tag_pending, e.stall_until_free_event);
+        self.sched.replay(pos, e.seq, tag_pending, snapshot);
         probe.event(self.cycle, &Event::Replay(e));
     }
 

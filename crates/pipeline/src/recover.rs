@@ -208,8 +208,7 @@ impl Core<'_> {
         self.rob.squash_after_into(survivor, &mut squashed);
         // The squashed entries held the stable positions just past the
         // survivors.
-        self.sched
-            .squash(self.rob.stable_of(self.rob.len()), squashed.len());
+        self.sched.squash(self.rob.stable_of(self.rob.len()), squashed.len());
         // Pending violations are keyed by the raising instruction's sequence
         // number and the vector is sorted by it; every squashed instruction
         // is younger than `survivor`, so one truncate drops them all.
