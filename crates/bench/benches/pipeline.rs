@@ -17,18 +17,30 @@ fn pipeline_throughput(c: &mut Criterion) {
     group.sample_size(10);
 
     let configs: Vec<(&str, SimConfig)> = vec![
-        ("baseline_lsq", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
+        (
+            "baseline_lsq",
+            SimConfig::machine(MachineClass::Baseline)
+                .backend(BackendChoice::Lsq)
+                .build(),
+        ),
         (
             "baseline_sfc_mdt",
-            SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build(),
+            SimConfig::machine(MachineClass::Baseline)
+                .mode(EnforceMode::All)
+                .build(),
         ),
         (
             "aggressive_lsq",
-            SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Lsq).lsq(LsqConfig::aggressive_120x80()).build(),
+            SimConfig::machine(MachineClass::Aggressive)
+                .backend(BackendChoice::Lsq)
+                .lsq(LsqConfig::aggressive_120x80())
+                .build(),
         ),
         (
             "aggressive_sfc_mdt",
-            SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build(),
+            SimConfig::machine(MachineClass::Aggressive)
+                .mode(EnforceMode::TotalOrder)
+                .build(),
         ),
     ];
 
@@ -41,7 +53,13 @@ fn pipeline_throughput(c: &mut Criterion) {
                 BenchmarkId::new(*name, kernel),
                 &(&w.program, &trace, cfg),
                 |b, (program, trace, cfg)| {
-                    b.iter(|| black_box(Machine::new(program, trace, SimConfig::clone(cfg)).run().unwrap()))
+                    b.iter(|| {
+                        black_box(
+                            Machine::new(program, trace, SimConfig::clone(cfg))
+                                .run()
+                                .unwrap(),
+                        )
+                    })
                 },
             );
         }

@@ -94,7 +94,11 @@ pub fn canonical_config_text(cfg: &SimConfig) -> String {
 /// Derives the content address of one (program, config) simulation under
 /// `code_version` (pass [`CODE_VERSION`] outside of tests).
 pub fn cache_key(program: &Program, cfg: &SimConfig, code_version: &str) -> CacheKey {
-    cache_key_of_texts(&program_text(program), &canonical_config_text(cfg), code_version)
+    cache_key_of_texts(
+        &program_text(program),
+        &canonical_config_text(cfg),
+        code_version,
+    )
 }
 
 /// [`cache_key`] over already-rendered canonical texts.
@@ -153,9 +157,17 @@ mod tests {
         let p = program("gzip", Scale::Tiny);
         let cfg = SimConfig::machine(MachineClass::Baseline).build();
         let base = cache_key(&p, &cfg, CODE_VERSION);
-        assert_ne!(base, cache_key(&program("mcf", Scale::Tiny), &cfg, CODE_VERSION));
-        assert_ne!(base, cache_key(&program("gzip", Scale::Small), &cfg, CODE_VERSION));
-        let lsq = SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build();
+        assert_ne!(
+            base,
+            cache_key(&program("mcf", Scale::Tiny), &cfg, CODE_VERSION)
+        );
+        assert_ne!(
+            base,
+            cache_key(&program("gzip", Scale::Small), &cfg, CODE_VERSION)
+        );
+        let lsq = SimConfig::machine(MachineClass::Baseline)
+            .backend(BackendChoice::Lsq)
+            .build();
         assert_ne!(base, cache_key(&p, &lsq, CODE_VERSION));
         assert_ne!(base, cache_key(&p, &cfg, "aim-sim-alt/99"));
     }

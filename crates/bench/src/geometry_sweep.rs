@@ -1,4 +1,4 @@
-//! Generic table-geometry sweeps: the `table_assoc_sweep` idea lifted into
+//! Generic table-geometry sweeps: the `assoc` study's idea lifted into
 //! a reusable layer.
 //!
 //! Every tagged structure in the repo — the MDT, the filtered-LSQ
@@ -68,27 +68,18 @@ impl GeometryGrid {
     }
 }
 
-/// Extracts `--grid tiny|full` from an argument list (default `full`) —
-/// the sweep bins' switch between the CI-sized 2×2 grid (`true`) and the
-/// full study.
+/// Parses a `--grid` value: `tiny` (the CI-sized 2×2 grid, `true`) or
+/// `full` (the whole study, `false`).
 ///
 /// # Errors
 ///
-/// Returns a one-line message when `--grid` has no value or an unknown
-/// one.
-pub fn parse_grid_arg(args: &[String]) -> Result<bool, String> {
-    match crate::flag_value(args, "--grid", "tiny")? {
-        Some("tiny") => Ok(true),
-        Some("full") | None => Ok(false),
-        Some(other) => Err(format!("--grid: unknown grid `{other}` (tiny|full)")),
+/// Returns a one-line message for any other value.
+pub(crate) fn parse_grid(value: &str) -> Result<bool, String> {
+    match value {
+        "tiny" => Ok(true),
+        "full" => Ok(false),
+        other => Err(format!("--grid: unknown grid `{other}` (tiny|full)")),
     }
-}
-
-/// Parses `--grid` from the command line (see [`parse_grid_arg`]); a
-/// malformed flag exits through [`or_exit`](crate::or_exit).
-pub fn grid_tiny_from_args() -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    crate::or_exit(parse_grid_arg(&args))
 }
 
 /// One swept point reduced to what the knee search needs.
@@ -171,7 +162,7 @@ pub struct PcaxSweepRow {
 /// The PCAX geometry sweep (`aim-pcax-sweep/v1`).
 #[derive(Debug, Clone)]
 pub struct PcaxSweepReport {
-    /// The producing binary (`table_pcax_sweep`).
+    /// The producing artifact (`table_pcax_sweep`).
     pub artifact: String,
     /// The baseline point's name.
     pub baseline: String,
@@ -239,7 +230,7 @@ pub struct FilterSweepRow {
 /// The filter geometry sweep (`aim-filter-sweep/v1`).
 #[derive(Debug, Clone)]
 pub struct FilterSweepReport {
-    /// The producing binary (`table_filter_sweep`).
+    /// The producing artifact (`table_filter_sweep`).
     pub artifact: String,
     /// The baseline point's name.
     pub baseline: String,
@@ -301,9 +292,7 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            [
-                "16x1@1", "16x1@2", "16x2@1", "16x2@2", "64x1@1", "64x1@2", "64x2@1", "64x2@2"
-            ]
+            ["16x1@1", "16x1@2", "16x2@1", "16x2@2", "64x1@1", "64x1@2", "64x2@1", "64x2@2"]
         );
     }
 
@@ -350,24 +339,25 @@ mod tests {
         find_knee(&[kp("16x1@2", 16, 2, 1.0)], 3, 0.02);
     }
 
+    fn grid_flag(words: &[&str]) -> Result<bool, String> {
+        let args: Vec<String> = words.iter().map(|s| s.to_string()).collect();
+        crate::Options::parse(&args, crate::FLAGS, 0).map(|(opts, _)| opts.grid_tiny)
+    }
+
     #[test]
     fn grid_flag_defaults_to_full() {
-        assert!(!grid_tiny_from_args());
+        assert_eq!(grid_flag(&[]), Ok(false));
+        assert_eq!(grid_flag(&["--scale", "tiny"]), Ok(false));
     }
 
     #[test]
     fn grid_flag_errors_are_one_actionable_line() {
-        let argv = |words: &[&str]| words.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_grid_arg(&argv(&["bin", "--grid", "tiny"])), Ok(true));
-        assert_eq!(parse_grid_arg(&argv(&["bin", "--grid", "full"])), Ok(false));
-        assert_eq!(
-            parse_grid_arg(&argv(&["bin", "--scale", "tiny"])),
-            Ok(false)
-        );
-        let err = parse_grid_arg(&argv(&["bin", "--grid", "huge"])).unwrap_err();
+        assert_eq!(grid_flag(&["--grid", "tiny"]), Ok(true));
+        assert_eq!(grid_flag(&["--grid", "full"]), Ok(false));
+        let err = grid_flag(&["--grid", "huge"]).unwrap_err();
         assert!(err.contains("unknown grid `huge` (tiny|full)"), "{err}");
         assert!(!err.contains('\n'), "error must be one line: {err:?}");
-        let err = parse_grid_arg(&argv(&["bin", "--grid"])).unwrap_err();
+        let err = grid_flag(&["--grid"]).unwrap_err();
         assert!(err.contains("--grid expects a value"), "{err}");
         assert!(!err.contains('\n'), "error must be one line: {err:?}");
     }

@@ -1,7 +1,7 @@
 //! The host-throughput perf-trajectory artifact (`BENCH_hostperf.json`).
 //!
 //! [`SweepReport`](crate::SweepReport) records per-cell host throughput for
-//! whichever sweep a binary happened to run; this module is the dedicated
+//! whichever sweep an artifact happened to run; this module is the dedicated
 //! *tracking* artifact: one row per backend × machine class, aggregated over
 //! every kernel, so successive commits can be compared backend-by-backend
 //! ("did the SoA table rewrite actually speed up the SFC/MDT cycle loop?").
@@ -12,9 +12,9 @@
 //! architectural statistic — cycle counts, violation counts, occupancy
 //! peaks — anywhere in the (kernel × backend) matrix changes the
 //! fingerprint, so a perf refactor that claims to be behaviour-preserving
-//! can be checked with one word. `scripts/tier1.sh` runs the
-//! `table_hostperf` binary's `--check` mode, which replays the matrix on a
-//! single worker and rejects if the fingerprints diverge (jobs=N ≡ jobs=1
+//! can be checked with one word. `scripts/tier1.sh` runs
+//! `aim-bench hostperf --check`, which replays the matrix on a single
+//! worker and rejects if the fingerprints diverge (jobs=N ≡ jobs=1
 //! determinism).
 //!
 //! The report renders in the `aim-hostperf-report/v1` schema through the
@@ -61,7 +61,6 @@ pub struct HostperfReport {
     /// One row per configuration, in spec order.
     pub rows: Vec<HostperfRow>,
 }
-
 
 /// FNV-1a over the `Debug` rendering of each statistics record with its
 /// host-dependent [`HostPerf`](aim_pipeline::HostPerf) fields zeroed: one

@@ -1,8 +1,8 @@
-//! The `table_hybrid` machine-readable report (`BENCH_hybrid.json`).
+//! The `aim-bench hybrid` machine-readable report (`BENCH_hybrid.json`).
 //!
-//! `table_hybrid` places the filtered LSQ — the §4 hybrid of an
+//! `aim-bench hybrid` places the filtered LSQ — the §4 hybrid of an
 //! address-indexed membership filter and the associative store queue —
-//! inside the `table_backend_bounds` bracket, next to the MDT search
+//! inside the `aim-bench bounds` bracket, next to the MDT search
 //! filter it borrows its idea from. This module renders that comparison
 //! in a stable JSON schema (`aim-hybrid-report/v1`) so the acceptance
 //! checks (filter rate vs the §4 MDT filter, IPC inside the
@@ -51,7 +51,7 @@ pub struct HybridRow {
 /// The full hybrid comparison, one row per workload.
 #[derive(Debug, Clone)]
 pub struct HybridReport {
-    /// The producing binary (`table_hybrid`).
+    /// The producing artifact (`table_hybrid`).
     pub artifact: String,
     /// Per-workload rows, registry order.
     pub rows: Vec<HybridRow>,

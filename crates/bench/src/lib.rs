@@ -1,51 +1,34 @@
 //! Experiment harness: shared machinery for regenerating every table and
 //! figure of the paper's evaluation (§3).
 //!
-//! Each `src/bin/*.rs` binary reproduces one artifact:
+//! One command, `aim-bench <artifact>|list`, runs every artifact. The
+//! [`artifact`] module holds the table of artifacts (`aim-bench list`
+//! prints it): each names the (workload × config) matrix it simulates
+//! (a [`specs`] entry), a reduce step from the finished [`Matrix`] to the
+//! rows it prints and writes, and an acceptance predicate. The matrix
+//! runs through [`run_matrix`], which fans independent simulations across
+//! OS threads with deterministic result ordering.
 //!
-//! | binary | paper artifact |
-//! |---|---|
-//! | `fig4_config` | Figure 4 (simulator parameters) |
-//! | `fig5_baseline` | Figure 5 (baseline 4-wide, ENF / NOT-ENF vs 48×32 LSQ) |
-//! | `fig6_aggressive` | Figure 6 (aggressive 8-wide, LSQ sizes vs MDT/SFC) |
-//! | `table_violations` | §3.1/§3.2 violation-rate claims |
-//! | `table_enf_effect` | §3.2 ENF vs NOT-ENF on the aggressive machine |
-//! | `table_assoc_sweep` | §3.2 bzip2/mcf set-conflict + associativity-16 study |
-//! | `table_corruption` | §3.2 SFC corruption-rate study |
-//! | `table_filter` | §4 MDT search-filter study |
-//! | `table_filter_sweep` | filter sets/ways/counter-width knee (à la §5 sizing) |
-//! | `table_hybrid` | §4 filtered-LSQ hybrid vs the backend bounds |
-//! | `table_backend_bounds` | SFC/MDT inside the no-spec → oracle bracket |
-//! | `table_pcax` | PC-indexed classification backend vs the backend bounds |
-//! | `table_pcax_sweep` | PCAX table sets/ways/threshold knee (à la §5 sizing) |
-//! | `table_power` | §5 activity/power proxy counts |
-//! | `table_window_sweep` | §3.3 instruction-window scaling |
-//! | `table_hostperf` | host throughput per backend × machine class, stats fingerprint gate |
-//! | `table_litmus` | litmus outcomes per backend contained in the reference model |
-//! | `calibrate` | IPC sanity check of the two backends |
-//!
-//! Two more bins live in `aim-serve` because they route their cells
+//! Two more programs live in `aim-serve` because they route their cells
 //! through the job server's cache: `table_far_mem` (far-memory latency ×
 //! window-size sweep) and `table_sampled` (sampled vs full-detail
-//! convergence).
+//! convergence). They parse the same [`Options`].
 //!
-//! Shared flags: `--scale tiny|small|full|huge` (default `full`) and
-//! `--jobs N` (worker threads for the sweep; `0`/absent defers to the
-//! `AIM_JOBS` environment variable, then to the host's parallelism). A
-//! malformed flag prints one `error:` line and exits with status 2.
+//! Shared flags ([`FLAGS`]): `--scale tiny|small|full|huge` (default
+//! `full`), `--jobs N` (worker threads for the sweep; `0`/absent defers to
+//! the `AIM_JOBS` environment variable, then to the host's parallelism),
+//! `--csv <path>`, `--grid tiny|full`, `--check` and `--schedules N`. An
+//! unknown flag, a stray argument or a malformed value prints one `error:`
+//! line and exits with status 2.
 //!
-//! Every binary routes its (workload × config) sweep through
-//! [`run_matrix`], which fans independent simulations across OS threads
-//! with deterministic result ordering, and emits a host-throughput
-//! [`SweepReport`] (`BENCH_sweep.json`) alongside its human-readable
-//! output. Every report, that one included, renders through the one
-//! [`Report`] writer; the bins that write a table report also take
-//! `--csv <path>` and write the same rows there.
+//! Every report renders through the one [`Report`] writer; `--csv` writes
+//! the same rows the table prints.
 
 use aim_isa::{Interpreter, Program, Trace};
 use aim_pipeline::{Machine, SimConfig, SimStats};
 use aim_workloads::{Scale, Suite, Workload};
 
+pub mod artifact;
 mod cache_key;
 mod farmem;
 mod geometry_sweep;
@@ -66,18 +49,18 @@ pub use cache_key::{
 };
 pub use farmem::{FarMemReport, FarMemRow};
 pub use geometry_sweep::{
-    find_knee, grid_tiny_from_args, parse_grid_arg, FilterSweepReport, FilterSweepRow,
-    GeometryGrid, Knee, KneePoint, PcaxSweepReport, PcaxSweepRow,
+    find_knee, FilterSweepReport, FilterSweepRow, GeometryGrid, Knee, KneePoint, PcaxSweepReport,
+    PcaxSweepRow,
 };
 pub use hostperf::{
-    fingerprint_stats, fingerprint_text, fingerprint_texts, stats_fingerprint,
-    HostperfReport, HostperfRow,
+    fingerprint_stats, fingerprint_text, fingerprint_texts, stats_fingerprint, HostperfReport,
+    HostperfRow,
 };
 pub use hybrid::{HybridReport, HybridRow};
 pub use litmus::{LitmusReport, LitmusRow};
 pub use matrix::{run_matrix, run_matrix_timed, Matrix};
 pub use pcax::{PcaxReport, PcaxRow};
-pub use report::{render_report, Report};
+pub use report::{render_report, Report, ReportFile};
 pub use sampled::{SampledReport, SampledRow};
 pub use serve_report::{ServeReport, ServeRound};
 pub use sweep::{SweepReport, SweepRow};
@@ -135,14 +118,15 @@ pub fn prepare(w: Workload, scale: Scale) -> Prepared {
 /// Panics on validation or deadlock errors — the harness treats simulator
 /// failures as fatal.
 pub fn run(p: &Prepared, cfg: &SimConfig) -> SimStats {
-    Machine::new(&p.program, &p.trace, cfg.clone()).run()
+    Machine::new(&p.program, &p.trace, cfg.clone())
+        .run()
         .unwrap_or_else(|e| panic!("{} under {}: {e}", p.name, cfg.backend.name()))
 }
 
 /// Runs a prepared workload under `cfg` as the sole core of a
 /// [`MultiMachine`](aim_pipeline::MultiMachine) and returns core 0's
 /// statistics. The multi-core refactor's N=1 contract says this is
-/// bit-identical (wall clock aside) to [`run`]; `table_hostperf --check`
+/// bit-identical (wall clock aside) to [`run`]; `aim-bench hostperf --check`
 /// replays the whole matrix through this path and compares fingerprints.
 ///
 /// # Panics
@@ -156,24 +140,114 @@ pub fn run_multi_n1(p: &Prepared, cfg: &SimConfig) -> SimStats {
     stats.per_core.into_iter().next().expect("one core ran")
 }
 
-/// The value following `flag` in an argument list: `Ok(None)` when the
-/// flag is absent.
-///
-/// # Errors
-///
-/// Returns ``{flag} expects a value (e.g. {flag} {example})`` when the
-/// flag is the last argument.
-pub fn flag_value<'a>(
-    args: &'a [String],
-    flag: &str,
-    example: &str,
-) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => match args.get(i + 1) {
-            Some(value) => Ok(Some(value)),
-            None => Err(format!("{flag} expects a value (e.g. {flag} {example})")),
-        },
-        None => Ok(None),
+/// Every flag the experiment programs share. `aim-bench` takes them all;
+/// a program that takes fewer passes its own list to [`Options::parse`].
+pub const FLAGS: &[&str] = &[
+    "--scale",
+    "--jobs",
+    "--csv",
+    "--grid",
+    "--check",
+    "--schedules",
+];
+
+/// The shared command line, parsed once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Options {
+    /// `--scale tiny|small|full|huge` (default `full`).
+    pub scale: Scale,
+    /// `--jobs N` as given: `0` (the default) defers to `AIM_JOBS`, then
+    /// to the host (see [`resolve_jobs`]).
+    pub jobs: usize,
+    /// `--csv <path>`: also write the table's rows there.
+    pub csv: Option<String>,
+    /// `--grid tiny|full` (default `full`): the geometry sweeps' CI-sized
+    /// 2×2 grid instead of the full study.
+    pub grid_tiny: bool,
+    /// `--check`: replay the matrix on one worker and require the same
+    /// stats fingerprint, then run the artifact's own checks.
+    pub check: bool,
+    /// `--schedules N`: seeded litmus schedules per cell (absent defers to
+    /// `AIM_LITMUS_SCHEDULES`, then 200).
+    pub schedules: Option<u64>,
+}
+
+impl Default for Options {
+    fn default() -> Options {
+        Options {
+            scale: Scale::Full,
+            jobs: 0,
+            csv: None,
+            grid_tiny: false,
+            check: false,
+            schedules: None,
+        }
+    }
+}
+
+impl Options {
+    /// Parses an argument list (program name excluded) that may carry the
+    /// flags in `accepted` and up to `positional` bare arguments, which
+    /// are returned in order. `--check` is a switch; every other flag
+    /// takes the next argument as its value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message for an unknown flag (`--scale=tiny`
+    /// included), a stray argument, a flag without its value, or a
+    /// malformed value.
+    pub fn parse(
+        args: &[String],
+        accepted: &[&str],
+        positional: usize,
+    ) -> Result<(Options, Vec<String>), String> {
+        let mut opts = Options::default();
+        let mut bare = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = arg.as_str();
+            if !flag.starts_with('-') {
+                if bare.len() == positional {
+                    return Err(format!("unexpected argument `{arg}`"));
+                }
+                bare.push(arg.clone());
+                continue;
+            }
+            if !accepted.contains(&flag) {
+                return Err(format!(
+                    "unknown flag `{arg}` (flags: {})",
+                    accepted.join(" ")
+                ));
+            }
+            if flag == "--check" {
+                opts.check = true;
+                continue;
+            }
+            let example = match flag {
+                "--scale" | "--grid" => "tiny",
+                "--jobs" => "4; 0 defers to AIM_JOBS, then auto-detection",
+                "--csv" => "out.csv",
+                _ => "8",
+            };
+            let value = args
+                .next()
+                .ok_or_else(|| format!("{flag} expects a value (e.g. {flag} {example})"))?;
+            let count = || {
+                value.parse::<u64>().map_err(|_| {
+                    format!(
+                        "{flag} expects a non-negative integer, got `{value}` (e.g. {flag} {example})"
+                    )
+                })
+            };
+            match flag {
+                "--scale" => opts.scale = value.parse().map_err(|e| format!("--scale: {e}"))?,
+                "--jobs" => opts.jobs = count()? as usize,
+                "--csv" => opts.csv = Some(value.clone()),
+                "--grid" => opts.grid_tiny = geometry_sweep::parse_grid(value)?,
+                _ => opts.schedules = Some(count()?),
+            }
+        }
+        Ok((opts, bare))
     }
 }
 
@@ -184,32 +258,6 @@ pub fn or_exit<T>(parsed: Result<T, String>) -> T {
         eprintln!("error: {message}");
         std::process::exit(2);
     })
-}
-
-/// Extracts `--scale tiny|small|full|huge` from an argument list (default
-/// `full`).
-///
-/// # Errors
-///
-/// Returns a one-line message when `--scale` has no value or an unknown
-/// one.
-pub fn parse_scale_arg(args: &[String]) -> Result<Scale, String> {
-    match flag_value(args, "--scale", "tiny")? {
-        Some(token) => token.parse().map_err(|e| format!("--scale: {e}")),
-        None => Ok(Scale::Full),
-    }
-}
-
-/// Parses `--scale` from the command line (see [`parse_scale_arg`]); a
-/// malformed flag exits through [`or_exit`].
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    or_exit(parse_scale_arg(&args))
-}
-
-/// Whether a `--flag` is present on the command line.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
 }
 
 /// Resolves a requested worker-thread count: an explicit request (`> 0`)
@@ -233,70 +281,6 @@ pub fn resolve_jobs_with(requested: usize, env_jobs: Option<&str>) -> usize {
         }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Extracts the `--jobs N` request (before [`resolve_jobs`] resolution)
-/// from an argument list. Absent means `0` (defer to `AIM_JOBS`, then
-/// auto-detection).
-///
-/// # Errors
-///
-/// Returns a one-line, actionable message — never panics — when `--jobs`
-/// is present without a value or with a non-integer value.
-pub fn parse_jobs_arg(args: &[String]) -> Result<usize, String> {
-    const EXAMPLE: &str = "4; 0 defers to AIM_JOBS, then auto-detection";
-    match flag_value(args, "--jobs", EXAMPLE)? {
-        Some(s) => s.parse().map_err(|_| {
-            format!("--jobs expects a non-negative integer, got `{s}` (e.g. --jobs {EXAMPLE})")
-        }),
-        None => Ok(0),
-    }
-}
-
-/// Parses `--jobs N` from the command line and resolves it via
-/// [`resolve_jobs`] (so `--jobs 0`, `AIM_JOBS`, and auto-detection all
-/// behave identically across the experiment binaries). A malformed
-/// `--jobs` exits through [`or_exit`].
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    resolve_jobs(or_exit(parse_jobs_arg(&args)))
-}
-
-/// Parses `--csv <path>` from the command line, if present; a `--csv`
-/// without a path exits through [`or_exit`].
-pub fn csv_path_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    or_exit(flag_value(&args, "--csv", "out.csv")).map(str::to_string)
-}
-
-/// A minimal CSV emitter for the figure harnesses (numbers and plain names
-/// only — no quoting needed).
-#[derive(Debug, Default)]
-pub struct CsvTable {
-    lines: Vec<String>,
-}
-
-impl CsvTable {
-    /// Starts a table with a header row.
-    pub fn new(columns: &[&str]) -> CsvTable {
-        CsvTable {
-            lines: vec![columns.join(",")],
-        }
-    }
-
-    /// Appends a row.
-    pub fn row(&mut self, cells: &[String]) {
-        self.lines.push(cells.join(","));
-    }
-
-    /// Writes the table to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.lines.join("\n") + "\n")
-    }
 }
 
 /// Percent of the no-spec → oracle IPC gap that `x` closes (`nospec`,
@@ -327,11 +311,6 @@ pub fn suite_means(rows: &[(Suite, f64)]) -> (f64, f64) {
     (aim_types::geomean(&ints), aim_types::geomean(&fps))
 }
 
-/// Prints a horizontal rule sized to `width`.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,7 +321,12 @@ mod tests {
     fn prepare_and_run_smoke() {
         let w = aim_workloads::by_name("crafty", Scale::Tiny).unwrap();
         let p = prepare(w, Scale::Tiny);
-        let stats = run(&p, &SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build());
+        let stats = run(
+            &p,
+            &SimConfig::machine(MachineClass::Baseline)
+                .mode(EnforceMode::All)
+                .build(),
+        );
         assert!(stats.retired > 1_000);
     }
 
@@ -354,55 +338,105 @@ mod tests {
         assert!((fp - 2.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn csv_table_round_trips_through_a_file() {
-        let mut t = CsvTable::new(&["benchmark", "ipc"]);
-        t.row(&["gzip".into(), "2.358".into()]);
-        t.row(&["mcf".into(), "1.9".into()]);
-        let path = std::env::temp_dir().join("aim_bench_csv_test.csv");
-        t.write(path.to_str().unwrap()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "benchmark,ipc\ngzip,2.358\nmcf,1.9\n");
-        std::fs::remove_file(path).ok();
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The driver's parse: every flag, one bare argument.
+    fn parse(words: &[&str]) -> Result<Options, String> {
+        Options::parse(&argv(words), FLAGS, 1).map(|(opts, _)| opts)
     }
 
     #[test]
     fn scale_and_flags_parse_from_plain_args() {
-        // No CLI args in the test harness: defaults apply.
-        assert_eq!(scale_from_args(), Scale::Full);
-        assert!(!has_flag("--nonexistent"));
-        assert_eq!(csv_path_from_args(), None);
+        assert_eq!(parse(&[]), Ok(Options::default()));
+        assert_eq!(Options::default().scale, Scale::Full);
+        let (opts, bare) = Options::parse(
+            &argv(&[
+                "pcax", "--scale", "tiny", "--csv", "x.csv", "--check", "--grid", "tiny",
+            ]),
+            FLAGS,
+            1,
+        )
+        .unwrap();
+        assert_eq!(bare, ["pcax"]);
+        assert_eq!(
+            opts,
+            Options {
+                scale: Scale::Tiny,
+                csv: Some("x.csv".to_string()),
+                check: true,
+                grid_tiny: true,
+                ..Options::default()
+            }
+        );
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_arguments_are_rejected() {
+        for (words, want) in [
+            (&["--scale=tiny"][..], "unknown flag `--scale=tiny`"),
+            (&["--jobz", "3"][..], "unknown flag `--jobz`"),
+            (&["--hash"][..], "unknown flag `--hash`"),
+            (&["fig5", "extra"][..], "unexpected argument `extra`"),
+        ] {
+            let err = parse(words).unwrap_err();
+            assert!(err.contains(want), "{words:?}: {err}");
+            assert!(!err.contains('\n'), "error must be one line: {err:?}");
+        }
+        // A program taking fewer flags refuses the rest.
+        let err =
+            Options::parse(&argv(&["--check"]), &["--scale", "--jobs", "--csv"], 0).unwrap_err();
+        assert!(err.contains("unknown flag `--check`"), "{err}");
+        let err = Options::parse(&argv(&["tiny"]), &["--scale"], 0).unwrap_err();
+        assert!(err.contains("unexpected argument `tiny`"), "{err}");
     }
 
     #[test]
     fn jobs_flag_errors_are_one_actionable_line() {
-        let argv = |words: &[&str]| words.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs_arg(&argv(&["bin", "--jobs", "4"])), Ok(4));
-        assert_eq!(parse_jobs_arg(&argv(&["bin", "--scale", "tiny"])), Ok(0));
-        let err = parse_jobs_arg(&argv(&["bin", "--jobs", "x"])).unwrap_err();
-        assert!(err.contains("--jobs expects a non-negative integer, got `x`"), "{err}");
+        assert_eq!(parse(&["--jobs", "4"]).map(|o| o.jobs), Ok(4));
+        assert_eq!(parse(&["--scale", "tiny"]).map(|o| o.jobs), Ok(0));
+        let err = parse(&["--jobs", "x"]).unwrap_err();
+        assert!(
+            err.contains("--jobs expects a non-negative integer, got `x`"),
+            "{err}"
+        );
         assert!(!err.contains('\n'), "error must be one line: {err:?}");
-        let err = parse_jobs_arg(&argv(&["bin", "--jobs"])).unwrap_err();
+        let err = parse(&["--jobs"]).unwrap_err();
         assert!(err.contains("--jobs expects a value"), "{err}");
         assert!(!err.contains('\n'), "error must be one line: {err:?}");
     }
 
     #[test]
     fn scale_flag_errors_are_one_actionable_line() {
-        let argv = |words: &[&str]| words.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(
-            parse_scale_arg(&argv(&["bin", "--scale", "tiny"])),
+            parse(&["--scale", "tiny"]).map(|o| o.scale),
             Ok(Scale::Tiny)
         );
-        assert_eq!(
-            parse_scale_arg(&argv(&["bin", "--jobs", "2"])),
-            Ok(Scale::Full)
-        );
-        let err = parse_scale_arg(&argv(&["bin", "--scale", "bogus"])).unwrap_err();
+        assert_eq!(parse(&["--jobs", "2"]).map(|o| o.scale), Ok(Scale::Full));
+        let err = parse(&["--scale", "bogus"]).unwrap_err();
         assert!(err.contains("unknown scale `bogus`"), "{err}");
         assert!(!err.contains('\n'), "error must be one line: {err:?}");
-        let err = parse_scale_arg(&argv(&["bin", "--scale"])).unwrap_err();
+        let err = parse(&["--scale"]).unwrap_err();
         assert!(err.contains("--scale expects a value"), "{err}");
+        assert!(!err.contains('\n'), "error must be one line: {err:?}");
+    }
+
+    #[test]
+    fn schedules_flag_errors_are_one_actionable_line() {
+        assert_eq!(
+            parse(&["--schedules", "8"]).map(|o| o.schedules),
+            Ok(Some(8))
+        );
+        assert_eq!(parse(&[]).map(|o| o.schedules), Ok(None));
+        let err = parse(&["--schedules", "x"]).unwrap_err();
+        assert!(
+            err.contains("--schedules expects a non-negative integer, got `x`"),
+            "{err}"
+        );
+        assert!(!err.contains('\n'), "error must be one line: {err:?}");
+        let err = parse(&["--schedules"]).unwrap_err();
+        assert!(err.contains("--schedules expects a value"), "{err}");
         assert!(!err.contains('\n'), "error must be one line: {err:?}");
     }
 

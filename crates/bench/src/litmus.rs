@@ -1,6 +1,6 @@
 //! The memory-model litmus artifact (`BENCH_litmus.json`).
 //!
-//! The `table_litmus` binary runs the `aim-isa` litmus suite (SB, MP, LB,
+//! The `aim-bench litmus` artifact runs the `aim-isa` litmus suite (SB, MP, LB,
 //! IRIW and the store-to-load-forwarding variants) on every backend across
 //! many seeded random core schedules, and records — per (test, backend) —
 //! how many outcomes the operational reference model allows, how many the
@@ -8,7 +8,7 @@
 //! outcome was allowed (`contained`). The containment column is the
 //! acceptance gate: a single `false` means a core's store leaked to a
 //! sibling before retirement (or own-store forwarding broke), and the
-//! binary rejects.
+//! run rejects.
 //!
 //! The report renders in the `aim-litmus-report/v1` schema through the
 //! shared [`Report`] writer; `tests/golden/litmus.golden.json` pins its
@@ -80,7 +80,11 @@ impl LitmusReport {
                 }));
                 for schedule in all {
                     let outcome = run_litmus(&test, &cfg, schedule).unwrap_or_else(|e| {
-                        panic!("{} on {} under {schedule:?}: {e}", test.name, backend.token())
+                        panic!(
+                            "{} on {} under {schedule:?}: {e}",
+                            test.name,
+                            backend.token()
+                        )
                     });
                     contained &= allowed.contains(&outcome);
                     seen.insert(outcome);
@@ -109,6 +113,14 @@ impl LitmusReport {
     pub fn all_contained(&self) -> bool {
         self.rows.iter().all(|r| r.contained)
     }
+}
+
+/// The schedule count a run uses: `--schedules N` if given, else a
+/// well-formed `AIM_LITMUS_SCHEDULES` value (`env`), else 200.
+pub(crate) fn resolve_schedules(requested: Option<u64>, env: Option<&str>) -> u64 {
+    requested
+        .or_else(|| env.and_then(|v| v.parse().ok()))
+        .unwrap_or(200)
 }
 
 impl Report for LitmusReport {
@@ -153,6 +165,14 @@ mod tests {
                 "{row:?}"
             );
         }
+    }
+
+    #[test]
+    fn schedules_fall_back_to_the_env_then_200() {
+        assert_eq!(resolve_schedules(Some(8), Some("50")), 8);
+        assert_eq!(resolve_schedules(None, Some("50")), 50);
+        assert_eq!(resolve_schedules(None, Some("many")), 200);
+        assert_eq!(resolve_schedules(None, None), 200);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Parallel (workload × config) sweep execution.
 //!
-//! Every experiment binary reduces to the same shape: a list of prepared
+//! Every matrix artifact reduces to the same shape: a list of prepared
 //! workloads, a list of named configurations, and one independent
 //! simulation per pair. [`run_matrix`] fans those cells out across OS
 //! threads (plain `std::thread::scope` — the builder environment has no
@@ -59,19 +59,14 @@ impl Matrix {
 /// returns the results in deterministic workload-major order.
 ///
 /// `jobs` is used as given (clamped to the cell count); pass the result of
-/// [`resolve_jobs`](crate::resolve_jobs) or
-/// [`jobs_from_args`](crate::jobs_from_args) to honor `--jobs`/`AIM_JOBS`.
+/// [`resolve_jobs`](crate::resolve_jobs) to honor `--jobs`/`AIM_JOBS`.
 /// With `jobs <= 1` the sweep runs inline on the calling thread.
 ///
 /// # Panics
 ///
 /// Panics if any simulation fails (validation or deadlock), as [`run`]
 /// does; a worker panic propagates to the caller.
-pub fn run_matrix(
-    prepared: &[Prepared],
-    configs: &[(String, SimConfig)],
-    jobs: usize,
-) -> Matrix {
+pub fn run_matrix(prepared: &[Prepared], configs: &[(String, SimConfig)], jobs: usize) -> Matrix {
     let n_configs = configs.len();
     let total = prepared.len() * n_configs;
     if total == 0 {

@@ -1,7 +1,7 @@
-//! The `table_pcax` machine-readable report (`BENCH_pcax.json`).
+//! The `aim-bench pcax` machine-readable report (`BENCH_pcax.json`).
 //!
-//! `table_pcax` places the PC-indexed classification backend (PCAX) inside
-//! the `table_backend_bounds` bracket, next to the plain SFC/MDT it wraps.
+//! `aim-bench pcax` places the PC-indexed classification backend (PCAX) inside
+//! the `aim-bench bounds` bracket, next to the plain SFC/MDT it wraps.
 //! This module renders that comparison in a stable JSON schema
 //! (`aim-pcax-report/v1`) so the acceptance checks (IPC inside the
 //! no-spec → oracle bracket, prediction coverage and accuracy) can be
@@ -51,7 +51,7 @@ pub struct PcaxRow {
 /// The full PCAX comparison, one row per workload.
 #[derive(Debug, Clone)]
 pub struct PcaxReport {
-    /// The producing binary (`table_pcax`).
+    /// The producing artifact (`table_pcax`).
     pub artifact: String,
     /// Per-workload rows, registry order.
     pub rows: Vec<PcaxRow>,

@@ -1,6 +1,6 @@
 //! The one artifact-report writer.
 //!
-//! Every machine-readable report a binary writes (`BENCH_<name>.json`)
+//! Every machine-readable report an artifact writes (`BENCH_<name>.json`)
 //! has the same layout: `"key": value,` header lines (the schema string
 //! first), then one flat `{"key": value, ...}` line per row under a list
 //! key:
@@ -77,10 +77,7 @@ pub trait Report {
     ///
     /// Propagates the underlying I/O error.
     fn write_default(&self) -> std::io::Result<String> {
-        let path =
-            std::env::var(report_env_var(Self::FILE)).unwrap_or_else(|_| Self::FILE.to_string());
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+        ReportFile::of(self).write_default()
     }
 
     /// Writes the rows to `path` as CSV: the row keys as the header, then
@@ -92,6 +89,38 @@ pub trait Report {
     /// Propagates the underlying I/O error.
     fn write_csv(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, render_csv(&self.row_msgs()))
+    }
+}
+
+/// A report rendered for writing: its default file name and its JSON.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReportFile {
+    /// The default output file ([`Report::FILE`]).
+    pub file: &'static str,
+    /// The rendered report ([`Report::to_json`]).
+    pub json: String,
+}
+
+impl ReportFile {
+    /// Renders `report`.
+    pub fn of<R: Report + ?Sized>(report: &R) -> ReportFile {
+        ReportFile {
+            file: R::FILE,
+            json: report.to_json(),
+        }
+    }
+
+    /// Writes the JSON to `$AIM_<NAME>_JSON` if set, else to the default
+    /// file in the working directory, and returns the path written.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying I/O error.
+    pub fn write_default(&self) -> std::io::Result<String> {
+        let path =
+            std::env::var(report_env_var(self.file)).unwrap_or_else(|_| self.file.to_string());
+        std::fs::write(&path, &self.json)?;
+        Ok(path)
     }
 }
 
@@ -140,7 +169,7 @@ fn push_field(out: &mut String, key: &str, value: &WireValue) {
 /// per row. Strings are written bare (report strings are plain names with
 /// no commas or quotes) and every other value as in the JSON report. No
 /// rows render as an empty file.
-fn render_csv(rows: &[WireMsg]) -> String {
+pub(crate) fn render_csv(rows: &[WireMsg]) -> String {
     let Some(first) = rows.first() else {
         return String::new();
     };

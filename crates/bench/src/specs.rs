@@ -1,11 +1,11 @@
-//! Named (workload × config) sweep specifications for every experiment
-//! binary.
+//! Named (workload × config) sweep specifications for every matrix
+//! artifact.
 //!
-//! Each `src/bin/*.rs` artifact used to build its configuration list
-//! inline; centralizing them here gives [`run_matrix`](crate::run_matrix)
-//! callers, the smoke tests, and the determinism tests one shared source of
-//! truth for *what* each artifact simulates. The binaries remain in charge
-//! of presentation (tables, normalization, CSV).
+//! Each [`Artifact`](crate::artifact::Artifact) names one of these specs;
+//! they are the one source of truth for *what* each artifact simulates,
+//! shared by the driver, the determinism tests and the repository
+//! benchmark. The artifacts' reduce steps own the presentation (tables,
+//! normalization, CSV).
 //!
 //! The cells other programs submit by name — [`hostperf_configs`] and
 //! [`farmem_configs`], which the job server's replay gate, `table_far_mem`
@@ -23,15 +23,17 @@ use aim_pipeline::{
 };
 use aim_predictor::EnforceMode;
 use aim_workloads::Scale;
+use BackendChoice::{Filtered, Lsq, NoSpec, Oracle, Pcax, SfcMdt};
+use MachineClass::{Aggressive, Baseline};
 
 /// The benchmarks excluded from the paper's Figure 6 set (and every study
 /// that inherits it).
 pub const FIG6_EXCLUDED: &[&str] = &["mesa"];
 
-/// One experiment binary's sweep: its named configurations and the
-/// workloads it excludes.
+/// One artifact's sweep: its named configurations and the workloads it
+/// excludes.
 pub struct ArtifactSpec {
-    /// The binary's name (and the `artifact` field of its sweep report).
+    /// The name its reports carry in their `artifact` field.
     pub artifact: &'static str,
     /// Named configurations, in presentation order.
     pub configs: Vec<(String, SimConfig)>,
@@ -67,11 +69,54 @@ impl ArtifactSpec {
     }
 }
 
+fn spec(
+    artifact: &'static str,
+    skip: &'static [&'static str],
+    configs: Vec<(String, SimConfig)>,
+) -> ArtifactSpec {
+    ArtifactSpec {
+        artifact,
+        configs,
+        skip,
+    }
+}
+
 fn named(name: &str, cfg: SimConfig) -> (String, SimConfig) {
     (name.to_string(), cfg)
 }
 
-fn with_sfc_mdt(mut cfg: SimConfig, f: impl FnOnce(&mut aim_core::SfcConfig, &mut MdtConfig)) -> SimConfig {
+/// A `class` machine running `backend` at the class defaults.
+fn cell(class: MachineClass, backend: BackendChoice) -> SimConfig {
+    SimConfig::machine(class).backend(backend).build()
+}
+
+/// A `class` machine's LSQ at an explicit capacity.
+fn lsq(class: MachineClass, lsq: LsqConfig) -> SimConfig {
+    SimConfig::machine(class)
+        .backend(BackendChoice::Lsq)
+        .lsq(lsq)
+        .build()
+}
+
+/// A `class` machine's SFC/MDT under the predictor's `mode`.
+fn sfc_mdt(class: MachineClass, mode: EnforceMode) -> SimConfig {
+    SimConfig::machine(class).mode(mode).build()
+}
+
+/// The paper's ENF SFC/MDT of each class: every predicted dependence on
+/// the baseline, a total order within each producer set on the
+/// aggressive machine.
+fn enf(class: MachineClass) -> SimConfig {
+    match class {
+        Baseline => sfc_mdt(Baseline, EnforceMode::All),
+        _ => sfc_mdt(class, EnforceMode::TotalOrder),
+    }
+}
+
+fn with_sfc_mdt(
+    mut cfg: SimConfig,
+    f: impl FnOnce(&mut aim_core::SfcConfig, &mut MdtConfig),
+) -> SimConfig {
     match &mut cfg.backend {
         BackendConfig::SfcMdt { sfc, mdt } => f(sfc, mdt),
         _ => unreachable!("SFC/MDT mutation on a non-SFC/MDT config"),
@@ -79,265 +124,236 @@ fn with_sfc_mdt(mut cfg: SimConfig, f: impl FnOnce(&mut aim_core::SfcConfig, &mu
     cfg
 }
 
-/// `calibrate`: the two backends, baseline or aggressive.
+/// The baseline bracket: no-spec, the 48×32 LSQ and the oracle.
+fn bracket() -> Vec<(String, SimConfig)> {
+    vec![
+        named("nospec", cell(Baseline, NoSpec)),
+        named("lsq-48x32", cell(Baseline, Lsq)),
+        named("oracle", cell(Baseline, Oracle)),
+    ]
+}
+
+/// `calibrate` / `calibrate-aggressive`: the two backends, baseline or
+/// aggressive.
 pub fn calibrate(aggressive: bool) -> ArtifactSpec {
-    let configs = if aggressive {
+    spec("calibrate", &[], lsq_vs_enf(aggressive))
+}
+
+/// The LSQ (48×32 baseline, 120×80 aggressive) and the ENF SFC/MDT.
+fn lsq_vs_enf(aggressive: bool) -> Vec<(String, SimConfig)> {
+    if aggressive {
         vec![
-            named("lsq-120x80", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Lsq).lsq(LsqConfig::aggressive_120x80()).build()),
-            named("sfc-mdt-enf", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build()),
+            named(
+                "lsq-120x80",
+                lsq(Aggressive, LsqConfig::aggressive_120x80()),
+            ),
+            named("sfc-mdt-enf", enf(Aggressive)),
         ]
     } else {
         vec![
-            named("lsq-48x32", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
-            named("sfc-mdt-enf", SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build()),
+            named("lsq-48x32", cell(Baseline, Lsq)),
+            named("sfc-mdt-enf", enf(Baseline)),
         ]
-    };
-    ArtifactSpec {
-        artifact: "calibrate",
-        configs,
-        skip: &[],
     }
 }
 
 /// `fig4_config`: a boot-validation pair proving the printed parameter
 /// tables describe configurations that actually simulate.
 pub fn fig4_boot() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "fig4_config",
-        configs: vec![
-            named("baseline-enf", SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build()),
-            named("aggressive-enf", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build()),
-        ],
-        skip: &[],
-    }
+    let configs = vec![
+        named("baseline-enf", enf(Baseline)),
+        named("aggressive-enf", enf(Aggressive)),
+    ];
+    spec("fig4_config", &[], configs)
 }
 
 /// `fig5_baseline`: 48×32 LSQ vs ENF vs NOT-ENF on the 4-wide machine.
 pub fn fig5_baseline() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "fig5_baseline",
-        configs: vec![
-            named("lsq-48x32", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
-            named("sfc-mdt-enf", SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build()),
-            named("sfc-mdt-not-enf", SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::TrueOnly).build()),
-        ],
-        skip: &[],
-    }
+    let configs = vec![
+        named("lsq-48x32", cell(Baseline, Lsq)),
+        named("sfc-mdt-enf", enf(Baseline)),
+        named("sfc-mdt-not-enf", sfc_mdt(Baseline, EnforceMode::TrueOnly)),
+    ];
+    spec("fig5_baseline", &[], configs)
 }
 
 /// `fig6_aggressive`: three LSQ capacities and the ENF MDT/SFC on the
 /// 8-wide machine.
 pub fn fig6_aggressive() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "fig6_aggressive",
-        configs: vec![
-            named("lsq-120x80", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Lsq).lsq(LsqConfig::aggressive_120x80()).build()),
-            named("lsq-256x256", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Lsq).lsq(LsqConfig::aggressive_256x256()).build()),
-            named("lsq-48x32", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Lsq).lsq(LsqConfig::baseline_48x32()).build()),
-            named("sfc-mdt-enf", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build()),
-        ],
-        skip: FIG6_EXCLUDED,
-    }
+    let configs = vec![
+        named(
+            "lsq-120x80",
+            lsq(Aggressive, LsqConfig::aggressive_120x80()),
+        ),
+        named(
+            "lsq-256x256",
+            lsq(Aggressive, LsqConfig::aggressive_256x256()),
+        ),
+        named("lsq-48x32", lsq(Aggressive, LsqConfig::baseline_48x32())),
+        named("sfc-mdt-enf", enf(Aggressive)),
+    ];
+    spec("fig6_aggressive", FIG6_EXCLUDED, configs)
 }
 
 /// `table_violations`: baseline and aggressive, ENF and NOT-ENF.
 pub fn table_violations() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "table_violations",
-        configs: vec![
-            named("base-not-enf", SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::TrueOnly).build()),
-            named("base-enf", SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build()),
-            named("aggr-not-enf", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TrueOnly).build()),
-            named("aggr-enf", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build()),
-        ],
-        skip: &[],
-    }
+    let configs = vec![
+        named("base-not-enf", sfc_mdt(Baseline, EnforceMode::TrueOnly)),
+        named("base-enf", enf(Baseline)),
+        named("aggr-not-enf", sfc_mdt(Aggressive, EnforceMode::TrueOnly)),
+        named("aggr-enf", enf(Aggressive)),
+    ];
+    spec("table_violations", &[], configs)
 }
 
-/// `table_violations --policies`: the §2.4 recovery-policy ablation.
+/// `violations-policies`: the §2.4 recovery-policy ablation.
 pub fn violation_policies() -> ArtifactSpec {
-    let default = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
-    let td = with_sfc_mdt(default.clone(), |_, mdt| {
+    let td = with_sfc_mdt(enf(Aggressive), |_, mdt| {
         mdt.true_dep_recovery = TrueDepRecovery::SingleLoadAggressive;
     });
-    let mut od = default.clone();
+    let mut od = enf(Aggressive);
     od.output_dep_recovery = OutputDepRecovery::MarkCorrupt;
-    ArtifactSpec {
-        artifact: "table_violations--policies",
-        configs: vec![
-            named("aggr-enf", default),
-            named("aggressive-td", td),
-            named("corrupt-od", od),
-        ],
-        skip: &[],
-    }
+    let configs = vec![
+        named("aggr-enf", enf(Aggressive)),
+        named("aggressive-td", td),
+        named("corrupt-od", od),
+    ];
+    spec("table_violations--policies", &[], configs)
 }
 
 /// `table_enf_effect`: NOT-ENF vs pairwise vs total-order enforcement.
 pub fn table_enf_effect() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "table_enf_effect",
-        configs: vec![
-            named("not-enf", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TrueOnly).build()),
-            named("enf-pairwise", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::All).build()),
-            named("enf-total", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build()),
-        ],
-        skip: FIG6_EXCLUDED,
-    }
+    let configs = vec![
+        named("not-enf", sfc_mdt(Aggressive, EnforceMode::TrueOnly)),
+        named("enf-pairwise", sfc_mdt(Aggressive, EnforceMode::All)),
+        named("enf-total", enf(Aggressive)),
+    ];
+    spec("table_enf_effect", FIG6_EXCLUDED, configs)
+}
+
+/// An aggressive ENF pair: the default under `base`, then with `change`
+/// applied to its SFC and MDT.
+fn aggressive_pair(
+    artifact: &'static str,
+    base: &str,
+    variant: &str,
+    change: impl FnOnce(&mut aim_core::SfcConfig, &mut MdtConfig),
+) -> ArtifactSpec {
+    let configs = vec![
+        named(base, enf(Aggressive)),
+        named(variant, with_sfc_mdt(enf(Aggressive), change)),
+    ];
+    spec(artifact, FIG6_EXCLUDED, configs)
 }
 
 /// `table_assoc_sweep`: the 2-way aggressive geometry vs 16 ways.
 pub fn table_assoc_sweep() -> ArtifactSpec {
-    let base = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
-    let assoc16 = with_sfc_mdt(base.clone(), |sfc, mdt| {
+    aggressive_pair("table_assoc_sweep", "assoc-2", "assoc-16", |sfc, mdt| {
         sfc.ways = 16;
         mdt.ways = 16;
-    });
-    ArtifactSpec {
-        artifact: "table_assoc_sweep",
-        configs: vec![named("assoc-2", base), named("assoc-16", assoc16)],
-        skip: FIG6_EXCLUDED,
-    }
+    })
 }
 
-/// `table_assoc_sweep --hash`: low-bits vs XOR-folded set index.
+/// `assoc-hash`: low-bits vs XOR-folded set index.
 pub fn assoc_hash() -> ArtifactSpec {
-    let base = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
-    let xor = with_sfc_mdt(base.clone(), |sfc, mdt| {
-        sfc.hash = SetHash::XorFold;
-        mdt.hash = SetHash::XorFold;
-    });
-    ArtifactSpec {
-        artifact: "table_assoc_sweep--hash",
-        configs: vec![named("hash-low", base), named("hash-xor", xor)],
-        skip: FIG6_EXCLUDED,
-    }
+    aggressive_pair(
+        "table_assoc_sweep--hash",
+        "hash-low",
+        "hash-xor",
+        |sfc, mdt| {
+            sfc.hash = SetHash::XorFold;
+            mdt.hash = SetHash::XorFold;
+        },
+    )
 }
 
-/// `table_assoc_sweep --untagged`: tagged vs untagged MDT.
+/// `assoc-untagged`: tagged vs untagged MDT.
 pub fn assoc_untagged() -> ArtifactSpec {
-    let base = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
-    let untagged = with_sfc_mdt(base.clone(), |_, mdt| {
-        mdt.tagging = MdtTagging::Untagged;
-    });
-    ArtifactSpec {
-        artifact: "table_assoc_sweep--untagged",
-        configs: vec![named("tagged", base), named("untagged", untagged)],
-        skip: FIG6_EXCLUDED,
-    }
+    aggressive_pair(
+        "table_assoc_sweep--untagged",
+        "tagged",
+        "untagged",
+        |_, mdt| {
+            mdt.tagging = MdtTagging::Untagged;
+        },
+    )
 }
 
-/// `table_assoc_sweep --granularity`: the §2.2 granularity sweep.
+/// `assoc-granularity`: the §2.2 granularity sweep.
 pub fn assoc_granularity() -> ArtifactSpec {
-    let base = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
     let configs = [8u64, 16, 32, 64]
         .iter()
         .map(|&g| {
-            let cfg = with_sfc_mdt(base.clone(), |_, mdt| mdt.granularity = g);
+            let cfg = with_sfc_mdt(enf(Aggressive), |_, mdt| mdt.granularity = g);
             (format!("granule-{g}"), cfg)
         })
         .collect();
-    ArtifactSpec {
-        artifact: "table_assoc_sweep--granularity",
-        configs,
-        skip: FIG6_EXCLUDED,
-    }
+    spec("table_assoc_sweep--granularity", FIG6_EXCLUDED, configs)
 }
 
 /// `table_corruption`: the default aggressive ENF configuration.
 pub fn table_corruption() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "table_corruption",
-        configs: vec![named("aggr-enf", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build())],
-        skip: FIG6_EXCLUDED,
-    }
+    spec(
+        "table_corruption",
+        FIG6_EXCLUDED,
+        vec![named("aggr-enf", enf(Aggressive))],
+    )
 }
 
-/// `table_corruption --endpoints`: corruption masks vs flush endpoints.
+/// `corruption-endpoints`: corruption masks vs flush endpoints.
 pub fn corruption_endpoints() -> ArtifactSpec {
-    let base = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
-    let endpoints = with_sfc_mdt(base.clone(), |sfc, _| {
+    let artifact = "table_corruption--endpoints";
+    aggressive_pair(artifact, "corrupt-bits", "flush-endpoints", |sfc, _| {
         sfc.corruption = CorruptionPolicy::FlushEndpoints { capacity: 16 };
-    });
-    ArtifactSpec {
-        artifact: "table_corruption--endpoints",
-        configs: vec![named("corrupt-bits", base), named("flush-endpoints", endpoints)],
-        skip: FIG6_EXCLUDED,
-    }
+    })
 }
 
-/// `table_corruption --partial`: combine-with-cache vs replay on partial
+/// `corruption-partial`: combine-with-cache vs replay on partial
 /// SFC matches.
 pub fn corruption_partial() -> ArtifactSpec {
-    let base = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
-    let mut replay = base.clone();
+    let mut replay = enf(Aggressive);
     replay.partial_match_policy = aim_core::PartialMatchPolicy::Replay;
-    ArtifactSpec {
-        artifact: "table_corruption--partial",
-        configs: vec![named("combine", base), named("replay", replay)],
-        skip: FIG6_EXCLUDED,
-    }
+    let configs = vec![named("combine", enf(Aggressive)), named("replay", replay)];
+    spec("table_corruption--partial", FIG6_EXCLUDED, configs)
 }
+
+/// The `table_filter` MDT geometries (sets, ways): the aggressive
+/// 1K×16 design, then three that starve it.
+pub const FILTER_GEOMETRIES: &[(usize, usize)] = &[(1024, 16), (256, 1), (64, 1), (16, 1)];
 
 /// `table_filter`: MDT geometries swept down from the aggressive design,
 /// each with the §4 search filter off and on (alternating off/on pairs).
 pub fn table_filter() -> ArtifactSpec {
-    let geometries: &[(usize, usize)] = &[(1024, 16), (256, 1), (64, 1), (16, 1)];
     let mut configs = Vec::new();
-    for &(sets, ways) in geometries {
+    for &(sets, ways) in FILTER_GEOMETRIES {
         for filter in [false, true] {
-            let mut cfg = with_sfc_mdt(
-                SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build(),
-                |_, mdt| *mdt = MdtConfig { sets, ways, ..*mdt },
-            );
+            let mut cfg = with_sfc_mdt(enf(Aggressive), |_, mdt| {
+                *mdt = MdtConfig { sets, ways, ..*mdt }
+            });
             cfg.mdt_filter = filter;
-            configs.push((
-                format!("mdt{sets}x{ways}-{}", if filter { "on" } else { "off" }),
-                cfg,
-            ));
+            let state = if filter { "on" } else { "off" };
+            configs.push((format!("mdt{sets}x{ways}-{state}"), cfg));
         }
     }
-    ArtifactSpec {
-        artifact: "table_filter",
-        configs,
-        skip: FIG6_EXCLUDED,
-    }
+    spec("table_filter", FIG6_EXCLUDED, configs)
 }
 
 /// `table_power`: the two backends whose comparator work is contrasted.
 pub fn table_power(aggressive: bool) -> ArtifactSpec {
-    let configs = if aggressive {
-        vec![
-            named("lsq-120x80", SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Lsq).lsq(LsqConfig::aggressive_120x80()).build()),
-            named("sfc-mdt-enf", SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build()),
-        ]
-    } else {
-        vec![
-            named("lsq-48x32", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
-            named("sfc-mdt-enf", SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build()),
-        ]
-    };
-    ArtifactSpec {
-        artifact: "table_power",
-        configs,
-        skip: &[],
-    }
+    spec("table_power", &[], lsq_vs_enf(aggressive))
 }
 
 /// `table_backend_bounds`: the four baseline backends, ordered from the
 /// no-speculation lower bound to the perfect-disambiguation upper bound —
 /// the bracket every real backend's IPC must land inside.
 pub fn table_backend_bounds() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "table_backend_bounds",
-        configs: vec![
-            named("nospec", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::NoSpec).build()),
-            named("lsq-48x32", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
-            named("sfc-mdt-enf", SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build()),
-            named("oracle", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Oracle).build()),
-        ],
-        skip: &[],
-    }
+    let configs = vec![
+        named("nospec", cell(Baseline, NoSpec)),
+        named("lsq-48x32", cell(Baseline, Lsq)),
+        named("sfc-mdt-enf", enf(Baseline)),
+        named("oracle", cell(Baseline, Oracle)),
+    ];
+    spec("table_backend_bounds", &[], configs)
 }
 
 /// `table_hybrid`: the filtered LSQ (membership filter in front of the
@@ -345,19 +361,16 @@ pub fn table_backend_bounds() -> ArtifactSpec {
 /// SFC/MDT, and the two bounds — all on the baseline machine, so the
 /// hybrid lands inside the `table_backend_bounds` bracket.
 pub fn table_hybrid() -> ArtifactSpec {
-    let mut sfc_filtered = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    let mut sfc_filtered = enf(Baseline);
     sfc_filtered.mdt_filter = true;
-    ArtifactSpec {
-        artifact: "table_hybrid",
-        configs: vec![
-            named("nospec", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::NoSpec).build()),
-            named("lsq-48x32", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
-            named("filtered-lsq", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Filtered).build()),
-            named("sfc-mdt-filt", sfc_filtered),
-            named("oracle", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Oracle).build()),
-        ],
-        skip: &[],
-    }
+    let configs = vec![
+        named("nospec", cell(Baseline, NoSpec)),
+        named("lsq-48x32", cell(Baseline, Lsq)),
+        named("filtered-lsq", cell(Baseline, Filtered)),
+        named("sfc-mdt-filt", sfc_filtered),
+        named("oracle", cell(Baseline, Oracle)),
+    ];
+    spec("table_hybrid", &[], configs)
 }
 
 /// `table_pcax`: the PC-indexed classification backend against the plain
@@ -367,16 +380,30 @@ pub fn table_hybrid() -> ArtifactSpec {
 /// builder default (`EnforceMode::All`, the paper's baseline ENF), so the
 /// pair isolates the classification layer itself.
 pub fn table_pcax() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "table_pcax",
-        configs: vec![
-            named(BackendChoice::NoSpec.token(), SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::NoSpec).build()),
-            named("lsq-48x32", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
-            named(BackendChoice::SfcMdt.token(), SimConfig::machine(MachineClass::Baseline).build()),
-            named(BackendChoice::Pcax.token(), SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Pcax).build()),
-            named(BackendChoice::Oracle.token(), SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Oracle).build()),
-        ],
-        skip: &[],
+    let configs = vec![
+        named(NoSpec.token(), cell(Baseline, NoSpec)),
+        named("lsq-48x32", cell(Baseline, Lsq)),
+        named(SfcMdt.token(), SimConfig::machine(Baseline).build()),
+        named(Pcax.token(), cell(Baseline, Pcax)),
+        named(Oracle.token(), cell(Baseline, Oracle)),
+    ];
+    spec("table_pcax", &[], configs)
+}
+
+/// The CI-sized 2×2 sets × ways grid at the baseline knob only, or the
+/// full sets × ways × `knobs` study.
+fn sweep_grid(tiny: bool, knobs: Vec<u32>, baseline_knob: u32) -> GeometryGrid {
+    let (sets, knobs) = if tiny {
+        (vec![16, 256], vec![baseline_knob])
+    } else {
+        (vec![16, 64, 256, 1024], knobs)
+    };
+    GeometryGrid {
+        sets,
+        ways: vec![1, 2],
+        knobs,
+        baseline_knob,
+        hash: SetHash::LowBits,
     }
 }
 
@@ -384,103 +411,56 @@ pub fn table_pcax() -> ArtifactSpec {
 /// threshold. The tiny variant is the CI-sized 2×2 grid at the baseline
 /// threshold only.
 pub fn pcax_sweep_grid(tiny: bool) -> GeometryGrid {
-    let baseline = PcaxConfig::baseline();
-    if tiny {
-        GeometryGrid {
-            sets: vec![16, 256],
-            ways: vec![1, 2],
-            knobs: vec![u32::from(baseline.no_alias_act)],
-            baseline_knob: u32::from(baseline.no_alias_act),
-            hash: SetHash::LowBits,
-        }
-    } else {
-        GeometryGrid {
-            sets: vec![16, 64, 256, 1024],
-            ways: vec![1, 2],
-            knobs: vec![1, 2, 3],
-            baseline_knob: u32::from(baseline.no_alias_act),
-            hash: SetHash::LowBits,
-        }
-    }
+    let baseline = u32::from(PcaxConfig::baseline().no_alias_act);
+    sweep_grid(tiny, vec![1, 2, 3], baseline)
 }
 
 /// `table_pcax_sweep`: the four bracket configs followed by one PCAX
 /// config per grid point (`setsxways@t<threshold>`), all on the baseline
 /// machine so every point lands inside the `table_backend_bounds` bracket.
 pub fn table_pcax_sweep(grid: &GeometryGrid) -> ArtifactSpec {
-    let mut configs = vec![
-        named("nospec", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::NoSpec).build()),
-        named("lsq-48x32", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
-        named("sfc-mdt", SimConfig::machine(MachineClass::Baseline).build()),
-        named("oracle", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Oracle).build()),
-    ];
+    let mut configs = bracket();
+    configs.insert(2, named("sfc-mdt", SimConfig::machine(Baseline).build()));
     for (table, threshold) in grid.points() {
         let pcax = PcaxConfig {
             table,
             no_alias_act: u8::try_from(threshold).expect("threshold fits the confidence width"),
             ..PcaxConfig::baseline()
         };
-        configs.push((
-            format!("{}@t{threshold}", table.label()),
-            SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Pcax).pcax(pcax).build(),
-        ));
+        let cfg = SimConfig::machine(Baseline)
+            .backend(Pcax)
+            .pcax(pcax)
+            .build();
+        configs.push((format!("{}@t{threshold}", table.label()), cfg));
     }
-    ArtifactSpec {
-        artifact: "table_pcax_sweep",
-        configs,
-        skip: &[],
-    }
+    spec("table_pcax_sweep", &[], configs)
 }
 
 /// The `table_filter_sweep` grid: filter sets/ways × the counter
 /// saturation point. The tiny variant is the CI-sized 2×2 grid at the
 /// baseline counter width only.
 pub fn filter_sweep_grid(tiny: bool) -> GeometryGrid {
-    let baseline = FilterConfig::baseline();
-    if tiny {
-        GeometryGrid {
-            sets: vec![16, 256],
-            ways: vec![1, 2],
-            knobs: vec![baseline.max_count],
-            baseline_knob: baseline.max_count,
-            hash: SetHash::LowBits,
-        }
-    } else {
-        GeometryGrid {
-            sets: vec![16, 64, 256, 1024],
-            ways: vec![1, 2],
-            knobs: vec![1, 3, 15],
-            baseline_knob: baseline.max_count,
-            hash: SetHash::LowBits,
-        }
-    }
+    sweep_grid(tiny, vec![1, 3, 15], FilterConfig::baseline().max_count)
 }
 
 /// `table_filter_sweep`: the three bracket configs followed by one
 /// filtered-LSQ config per grid point (`setsxways@c<max_count>`), all on
 /// the baseline machine.
 pub fn table_filter_sweep(grid: &GeometryGrid) -> ArtifactSpec {
-    let mut configs = vec![
-        named("nospec", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::NoSpec).build()),
-        named("lsq-48x32", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build()),
-        named("oracle", SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Oracle).build()),
-    ];
+    let mut configs = bracket();
     for (table, max_count) in grid.points() {
         let filter = FilterConfig {
             sets: table.sets,
             ways: table.ways,
             max_count,
         };
-        configs.push((
-            format!("{}@c{max_count}", table.label()),
-            SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Filtered).filter(filter).build(),
-        ));
+        let cfg = SimConfig::machine(Baseline)
+            .backend(Filtered)
+            .filter(filter)
+            .build();
+        configs.push((format!("{}@c{max_count}", table.label()), cfg));
     }
-    ArtifactSpec {
-        artifact: "table_filter_sweep",
-        configs,
-        skip: &[],
-    }
+    spec("table_filter_sweep", &[], configs)
 }
 
 /// The `table_hostperf` cells as [`ConfigSpec`]s — every backend on both
@@ -528,11 +508,7 @@ pub fn hostperf_configs() -> Vec<(String, ConfigSpec)> {
 /// `table_hostperf`: the host-throughput tracking matrix behind
 /// `BENCH_hostperf.json`, built from [`hostperf_configs`].
 pub fn table_hostperf() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "table_hostperf",
-        configs: built(hostperf_configs()),
-        skip: &[],
-    }
+    spec("table_hostperf", &[], built(hostperf_configs()))
 }
 
 /// The `table_far_mem` cells as [`ConfigSpec`]s: window size × far-memory
@@ -547,7 +523,10 @@ pub fn table_hostperf() -> ArtifactSpec {
 /// not the buildable CAM.
 pub fn farmem_configs() -> Vec<(String, ConfigSpec)> {
     let mut configs = Vec::new();
-    for (machine, tag) in [(MachineClass::Aggressive, "aggr"), (MachineClass::Huge, "huge")] {
+    for (machine, tag) in [
+        (MachineClass::Aggressive, "aggr"),
+        (MachineClass::Huge, "huge"),
+    ] {
         for lat in [200u64, 800] {
             let cell = |backend, lsq| ConfigSpec {
                 lsq,
@@ -576,11 +555,7 @@ pub fn farmem_configs() -> Vec<(String, ConfigSpec)> {
 
 /// `table_far_mem`: the [`farmem_configs`] matrix, built.
 pub fn table_far_mem() -> ArtifactSpec {
-    ArtifactSpec {
-        artifact: "table_far_mem",
-        configs: built(farmem_configs()),
-        skip: FIG6_EXCLUDED,
-    }
+    spec("table_far_mem", FIG6_EXCLUDED, built(farmem_configs()))
 }
 
 /// Builds named [`ConfigSpec`] cells into the configs an [`ArtifactSpec`]
@@ -592,48 +567,22 @@ fn built(cells: Vec<(String, ConfigSpec)>) -> Vec<(String, SimConfig)> {
         .collect()
 }
 
+/// The `table_window_sweep` window sizes.
+pub const WINDOWS: [usize; 4] = [128, 256, 512, 1024];
+
 /// `table_window_sweep`: windows 128–1024, fixed 48×32 LSQ vs SFC/MDT
 /// (window-major: `lsq@N` then `sfc-mdt@N` for each window size N).
 pub fn table_window_sweep() -> ArtifactSpec {
     let mut configs = Vec::new();
-    for window in [128usize, 256, 512, 1024] {
-        let mut lsq = SimConfig::machine(MachineClass::Aggressive).backend(BackendChoice::Lsq).lsq(LsqConfig::baseline_48x32()).build();
-        lsq.rob_entries = window;
-        lsq.phys_regs = window + 64;
-        let mut sfc = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
-        sfc.rob_entries = window;
-        sfc.phys_regs = window + 64;
+    for window in WINDOWS {
+        let mut lsq = lsq(Aggressive, LsqConfig::baseline_48x32());
+        let mut sfc = enf(Aggressive);
+        for cfg in [&mut lsq, &mut sfc] {
+            cfg.rob_entries = window;
+            cfg.phys_regs = window + 64;
+        }
         configs.push((format!("lsq-48x32@w{window}"), lsq));
         configs.push((format!("sfc-mdt@w{window}"), sfc));
     }
-    ArtifactSpec {
-        artifact: "table_window_sweep",
-        configs,
-        skip: FIG6_EXCLUDED,
-    }
-}
-
-/// Every artifact's default sweep (flag-gated sections excluded), one spec
-/// per experiment binary — the set the smoke test drives.
-pub fn all_default() -> Vec<ArtifactSpec> {
-    vec![
-        calibrate(false),
-        fig4_boot(),
-        fig5_baseline(),
-        fig6_aggressive(),
-        table_violations(),
-        table_enf_effect(),
-        table_assoc_sweep(),
-        table_corruption(),
-        table_filter(),
-        table_filter_sweep(&filter_sweep_grid(true)),
-        table_power(false),
-        table_backend_bounds(),
-        table_hostperf(),
-        table_hybrid(),
-        table_far_mem(),
-        table_pcax(),
-        table_pcax_sweep(&pcax_sweep_grid(true)),
-        table_window_sweep(),
-    ]
+    spec("table_window_sweep", FIG6_EXCLUDED, configs)
 }

@@ -1,6 +1,6 @@
 //! Machine-readable host-throughput reports (`BENCH_sweep.json`).
 //!
-//! Every experiment binary records how fast the *host* simulated its sweep
+//! Every matrix artifact records how fast the *host* simulated its sweep
 //! — simulated kilocycles per wall-clock second per cell, plus the total
 //! sweep wall time and the worker count — so performance regressions in the
 //! simulator itself show up in CI artifacts, not just in patience.
@@ -34,7 +34,7 @@ pub struct SweepRow {
 /// Host-throughput summary of one sweep.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// Which experiment binary produced this (e.g. `fig5_baseline`).
+    /// Which artifact produced this (its spec name, e.g. `fig5_baseline`).
     pub artifact: String,
     /// Worker threads the sweep used.
     pub jobs: usize,
@@ -73,13 +73,6 @@ impl SweepReport {
             wall_seconds: wall.as_secs_f64(),
             rows,
         }
-    }
-
-    /// Folds another section's rows and wall time into this report (for
-    /// binaries that run several flag-gated matrices in one invocation).
-    pub fn merge(&mut self, other: SweepReport) {
-        self.wall_seconds += other.wall_seconds;
-        self.rows.extend(other.rows);
     }
 
     /// Writes the report to the default location and prints a one-line
@@ -178,10 +171,7 @@ mod tests {
         assert!(json.contains("\"workload\": \"gzip\""));
         assert!(json.contains("\"sim_cycles\": 100"));
         // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count()
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

@@ -1,8 +1,8 @@
 //! Integration tests for the parallel sweep runner: determinism across
-//! thread counts, every artifact's spec matrix at tiny scale, and a probed
-//! run simulating exactly what the plain run does.
+//! thread counts, every artifact through the driver at tiny scale, and a
+//! probed run simulating exactly what the plain run does.
 
-use aim_bench::{prepare_all, run_matrix, run_matrix_timed, specs, Report, SweepReport};
+use aim_bench::{artifact, prepare_all, run_matrix, specs, Options, Report, SweepReport};
 use aim_pipeline::{BackendChoice, EventLog, Machine, MachineClass, SimConfig};
 use aim_predictor::EnforceMode;
 use aim_workloads::Scale;
@@ -13,14 +13,28 @@ fn determinism_configs() -> Vec<(String, SimConfig)> {
     configs.extend(specs::table_violations().configs);
     configs.push((
         "filtered-lsq".to_string(),
-        SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Filtered).build(),
+        SimConfig::machine(MachineClass::Baseline)
+            .backend(BackendChoice::Filtered)
+            .build(),
     ));
     configs.push((
         "pcax".to_string(),
-        SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Pcax).build(),
+        SimConfig::machine(MachineClass::Baseline)
+            .backend(BackendChoice::Pcax)
+            .build(),
     ));
-    configs.push(("oracle".to_string(), SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Oracle).build()));
-    configs.push(("nospec".to_string(), SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::NoSpec).build()));
+    configs.push((
+        "oracle".to_string(),
+        SimConfig::machine(MachineClass::Baseline)
+            .backend(BackendChoice::Oracle)
+            .build(),
+    ));
+    configs.push((
+        "nospec".to_string(),
+        SimConfig::machine(MachineClass::Baseline)
+            .backend(BackendChoice::NoSpec)
+            .build(),
+    ));
     configs
 }
 
@@ -45,37 +59,65 @@ fn parallel_matrix_is_byte_identical_to_serial() {
     }
 }
 
+/// Every artifact through the driver at tiny scale — matrix, reduce step,
+/// acceptance predicate — as `aim-bench <name> --scale tiny --grid tiny`
+/// runs it, minus the printing and file writing.
 #[test]
-fn every_artifact_spec_simulates_at_tiny() {
-    let all = specs::all_default();
-    assert_eq!(all.len(), 18, "one spec per experiment binary");
-    let jobs = aim_bench::resolve_jobs(0);
-    for spec in &all {
-        let workloads = spec.workloads(Scale::Tiny);
-        assert!(!spec.configs.is_empty(), "{}: empty config list", spec.artifact);
-        let (matrix, wall) = run_matrix_timed(&workloads, &spec.configs, jobs);
-        for (w, c, stats) in matrix.iter() {
+fn every_artifact_runs_through_the_driver_at_tiny() {
+    let opts = Options {
+        scale: Scale::Tiny,
+        grid_tiny: true,
+        schedules: Some(2),
+        ..Options::default()
+    };
+    for artifact in artifact::all() {
+        let name = artifact.name;
+        let out = artifact::execute(&artifact, &opts);
+        assert_eq!(out.verdict, Ok(()), "{name} rejected");
+        assert!(!out.table.rows.is_empty(), "{name}: no rows");
+        let text = out.table.render();
+        for column in out.table.columns {
             assert!(
-                stats.retired > 0,
-                "{}: {} under {} retired nothing",
-                spec.artifact,
-                workloads[w].name,
-                spec.configs[c].0
-            );
-            assert!(
-                stats.host.wall_ns > 0,
-                "{}: {} under {} recorded no host time",
-                spec.artifact,
-                workloads[w].name,
-                spec.configs[c].0
+                text.contains(column.head),
+                "{name}: column {} not printed",
+                column.head
             );
         }
-        // The report renders without panicking and carries every cell.
-        let report =
-            SweepReport::from_matrix(spec.artifact, jobs, wall, &workloads, &spec.configs, &matrix);
-        assert_eq!(report.rows.len(), workloads.len() * spec.configs.len());
-        assert!(report.to_json().contains("aim-bench-sweep/v1"));
+        if let Some(report) = &out.table.report {
+            assert_eq!(
+                report.json.matches("\n    {").count(),
+                out.table.rows.len(),
+                "{name}: the JSON report carries the table's rows"
+            );
+        }
+        if let Some(sweep) = &out.sweep {
+            assert!(!sweep.rows.is_empty(), "{name}: empty matrix");
+            for row in &sweep.rows {
+                assert!(
+                    row.retired > 0 && row.host_seconds > 0.0,
+                    "{name}: {} under {} retired nothing or recorded no host time",
+                    row.workload,
+                    row.config
+                );
+            }
+        }
     }
+}
+
+/// `--check` replays a matrix on one worker and reports the matching
+/// fingerprint before the acceptance line.
+#[test]
+fn check_replays_the_matrix_serially() {
+    let opts = Options {
+        scale: Scale::Tiny,
+        check: true,
+        ..Options::default()
+    };
+    let out = artifact::execute(&artifact::find("fig4").unwrap(), &opts);
+    assert_eq!(out.verdict, Ok(()));
+    assert_eq!(out.lines.len(), 2, "{:?}", out.lines);
+    assert!(out.lines[0].starts_with("check: jobs=1 replay fingerprint matches (0x"));
+    assert!(out.lines[1].starts_with("boot check: "));
 }
 
 #[test]
@@ -95,12 +137,18 @@ fn event_log_run_matches_plain_run() {
         aim_workloads::by_name("gzip", Scale::Tiny).unwrap(),
         Scale::Tiny,
     );
-    let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
-    let stats = Machine::new(&p.program, &p.trace, cfg.clone()).run().unwrap();
+    let cfg = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::All)
+        .build();
+    let stats = Machine::new(&p.program, &p.trace, cfg.clone())
+        .run()
+        .unwrap();
     assert!(stats.host.wall_ns > 0);
 
     let mut log = EventLog::new(1024);
-    let logged = Machine::new(&p.program, &p.trace, cfg).run_with(&mut log).unwrap();
+    let logged = Machine::new(&p.program, &p.trace, cfg)
+        .run_with(&mut log)
+        .unwrap();
     assert_eq!(
         format!("{:?}", stats.with_zeroed_host()),
         format!("{:?}", logged.with_zeroed_host())

@@ -20,9 +20,7 @@
 
 use aim_bench::{prepare, run, specs, Prepared};
 use aim_core::TableGeometry;
-use aim_pipeline::{
-    BackendChoice, FilterConfig, MachineClass, PcaxConfig, SimConfig, SimStats,
-};
+use aim_pipeline::{BackendChoice, FilterConfig, MachineClass, PcaxConfig, SimConfig, SimStats};
 use aim_workloads::Scale;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -70,7 +68,9 @@ fn bounds() -> &'static [Bounds] {
 }
 
 fn baseline(choice: BackendChoice) -> SimConfig {
-    SimConfig::machine(MachineClass::Baseline).backend(choice).build()
+    SimConfig::machine(MachineClass::Baseline)
+        .backend(choice)
+        .build()
 }
 
 fn pcax_config(table: TableGeometry, no_alias_act: u8) -> SimConfig {
@@ -130,13 +130,23 @@ fn check_sweep_point(seed: u64) -> Result<(), TestCaseError> {
         let (table, threshold) = points[(seed / 2) as usize % points.len()];
         let cfg = pcax_config(table, u8::try_from(threshold).unwrap());
         let stats = run(p, &cfg);
-        check_bracket(&format!("pcax {}@t{threshold}", table.label()), w, &stats, true)
+        check_bracket(
+            &format!("pcax {}@t{threshold}", table.label()),
+            w,
+            &stats,
+            true,
+        )
     } else {
         let points = specs::filter_sweep_grid(false).points();
         let (table, max_count) = points[(seed / 2) as usize % points.len()];
         let cfg = filter_config(table, max_count);
         let stats = run(p, &cfg);
-        check_bracket(&format!("filter {}@c{max_count}", table.label()), w, &stats, false)
+        check_bracket(
+            &format!("filter {}@c{max_count}", table.label()),
+            w,
+            &stats,
+            false,
+        )
     }
 }
 

@@ -7,7 +7,7 @@
 //! behind a [`SharedHandle`]. A single-core machine is the degenerate case —
 //! one `CoreMemSys` holding the only handle — and its hit/miss/latency
 //! behavior is operation-for-operation identical to `CacheHierarchy`, which
-//! is what the N=1 stats-fingerprint gate in `table_hostperf --check`
+//! is what the N=1 stats-fingerprint gate in `aim-bench hostperf --check`
 //! asserts.
 //!
 //! Sharing is single-threaded by design (`Rc<RefCell<..>>`): the multi-core

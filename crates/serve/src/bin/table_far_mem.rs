@@ -28,8 +28,7 @@
 //! `aim-farmem-report/v1` JSON (`BENCH_farmem.json`).
 
 use aim_bench::{
-    csv_path_from_args, gap_closed, jobs_from_args, rule, scale_from_args, specs, FarMemReport,
-    FarMemRow, Report,
+    gap_closed, or_exit, resolve_jobs, specs, FarMemReport, FarMemRow, Options, Report,
 };
 use aim_serve::{farmem_configs, parse_far_stats, run_cells, JobResponse, JobSpec, Server};
 use aim_types::geomean;
@@ -54,9 +53,10 @@ fn ipc(resp: &JobResponse) -> f64 {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let scale = scale_from_args();
-    let jobs = jobs_from_args();
-    let csv_path = csv_path_from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (opts, _) = or_exit(Options::parse(&args, &["--scale", "--jobs", "--csv"], 0));
+    let (scale, jobs, csv_path) = (opts.scale, resolve_jobs(opts.jobs), opts.csv);
+    let rule = "-".repeat(113);
     let spec = specs::table_far_mem();
     let configs = farmem_configs();
     assert_eq!(configs.len(), CELLS.len() * COLS, "cell layout drifted");
@@ -107,13 +107,13 @@ fn main() {
             "far-memory bracket — {tag} machine ({window}-entry window), far latency {lat} \
              (normalized to the cell's 256x256 upper-bound LSQ IPC)"
         );
-        rule(113);
+        println!("{rule}");
         println!(
             "{:<11} {:>5} | {:>8} | {:>8} {:>8} {:>8} {:>8} {:>8} | {:>6} {:>6} {:>6} | {:>8} {:>5}",
             "benchmark", "suite", "LSQ IPC", "no-spec", "cam-120", "sfc/mdt", "pcax", "oracle",
             "cam%", "sfc%", "pcax%", "far-acc", "peak"
         );
-        rule(113);
+        println!("{rule}");
         let mut gap_rows: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let mut norm_rows: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         for (w, &(name, suite)) in workloads.iter().enumerate() {
@@ -179,7 +179,7 @@ fn main() {
                 pcax_closed, far.accesses, far.peak_inflight
             );
         }
-        rule(113);
+        println!("{rule}");
         // Arithmetic mean: gap-closed percentages are legitimately
         // negative on kernels where speculation loses, which a geometric
         // mean cannot average.
@@ -199,7 +199,7 @@ fn main() {
              pcax {:.1}%",
             rets.0, rets.1, rets.2
         );
-        rule(113);
+        println!("{rule}");
         println!();
         if tag == "huge" {
             huge_rets.push(rets);

@@ -31,9 +31,7 @@
 //! Alongside the human-readable table, the run emits the stable
 //! `aim-sampled-report/v1` JSON (`BENCH_sampled.json`).
 
-use aim_bench::{
-    csv_path_from_args, jobs_from_args, rule, scale_from_args, Report, SampledReport, SampledRow,
-};
+use aim_bench::{or_exit, resolve_jobs, Options, Report, SampledReport, SampledRow};
 use aim_pipeline::{BackendChoice, FarSpec, MachineClass};
 use aim_serve::{
     parse_sampled_stats, run_cells, sampled_policy, ConfigSpec, JobResponse, JobSpec, Server,
@@ -66,9 +64,10 @@ fn ipc(resp: &JobResponse) -> f64 {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let scale = scale_from_args();
-    let jobs = jobs_from_args();
-    let csv_path = csv_path_from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (opts, _) = or_exit(Options::parse(&args, &["--scale", "--jobs", "--csv"], 0));
+    let (scale, jobs, csv_path) = (opts.scale, resolve_jobs(opts.jobs), opts.csv);
+    let rule = "-".repeat(118);
     let far = Some(FarSpec::new(FAR_LATENCY, 64, 8));
     let full_spec = ConfigSpec { far, ..ConfigSpec::new(MachineClass::Huge, BackendChoice::SfcMdt) };
     let window = full_spec.to_config().rob_entries as u64;
@@ -120,13 +119,13 @@ fn main() {
         "sampled convergence — huge machine ({window}-entry window), far latency {FAR_LATENCY}, \
          sfc/mdt; tiled {SAMPLE_PERIODS}-period policy vs full detail"
     );
-    rule(118);
+    println!("{rule}");
     println!(
         "{:<11} {:>5} {:>9} | {:>8} {:>8} {:>7} | {:>7} {:>7} | {:>9} {:>9} {:>7}",
         "benchmark", "suite", "insts", "full ipc", "samp ipc", "err%", "periods", "detail%",
         "full ms", "samp ms", "speedup"
     );
-    rule(118);
+    println!("{rule}");
 
     let mut rows = Vec::new();
     let mut misses: Vec<String> = Vec::new();
@@ -218,14 +217,14 @@ fn main() {
             speedup,
         });
     }
-    rule(118);
+    println!("{rule}");
     let speedup = full_wall as f64 / samp_wall as f64;
     println!(
         "worst error {worst:+.2}%   aggregate wall {:.2}s full / {:.2}s sampled — {speedup:.1}x",
         full_wall as f64 / 1e9,
         samp_wall as f64 / 1e9
     );
-    rule(118);
+    println!("{rule}");
 
     let report = SampledReport {
         artifact: "table_sampled".to_string(),

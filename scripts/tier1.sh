@@ -19,6 +19,10 @@ AIM_PACKAGES=(
   aim-examples
 )
 
+# aim-bench is held to rustfmt (the rest of the tree is not yet).
+echo "== tier1: cargo fmt --check -p aim-bench =="
+cargo fmt --check -p aim-bench
+
 echo "== tier1: cargo build --release =="
 cargo build --release
 
@@ -43,36 +47,49 @@ grep -q '| backend | int gap closed | fp gap closed |' EXPERIMENTS.md
 # --csv export comes from the report's own rows, so the CSV must hold a
 # header plus one line per kernel (one per JSON row), and the header must
 # be the key order of the report's first row line.
-echo "== tier1: table_pcax acceptance (tiny scale) and one column list for JSON and CSV =="
+echo "== tier1: aim-bench pcax acceptance (tiny scale) and one column list for JSON and CSV =="
 PCAX_JSON="$(mktemp)"
 PCAX_CSV="$(mktemp)"
 AIM_PCAX_JSON="$PCAX_JSON" AIM_SWEEP_JSON="$(mktemp)" \
-  cargo run --release -q -p aim-bench --bin table_pcax -- --scale tiny --csv "$PCAX_CSV" \
+  cargo run --release -q -p aim-bench -- pcax --scale tiny --csv "$PCAX_CSV" \
   | grep -q 'acceptance: pcax inside the bracket'
 PCAX_ROWS="$(grep -c '^    {' "$PCAX_JSON")"
 if [ "$PCAX_ROWS" -eq 0 ] || [ "$(wc -l < "$PCAX_CSV")" -ne $((PCAX_ROWS + 1)) ]; then
-  echo "table_pcax --csv: expected a header plus $PCAX_ROWS kernel lines" >&2
+  echo "aim-bench pcax --csv: expected a header plus $PCAX_ROWS kernel lines" >&2
   exit 1
 fi
 PCAX_KEYS="$(grep -m1 '^    {' "$PCAX_JSON" | grep -o '"[a-z_]*":' | tr -d '":' | paste -sd, -)"
 if [ "$(head -n1 "$PCAX_CSV")" != "$PCAX_KEYS" ]; then
-  echo "table_pcax --csv header differs from the report's row keys ($PCAX_KEYS)" >&2
+  echo "aim-bench pcax --csv header differs from the report's row keys ($PCAX_KEYS)" >&2
+  exit 1
+fi
+
+# The driver's command line: an unknown flag (here the `--flag=value`
+# spelling the parser does not take) is one `error:` line and exit 2,
+# never a silent full-scale run.
+echo "== tier1: aim-bench rejects unknown flags =="
+set +e
+BAD_FLAG_OUT="$(cargo run --release -q -p aim-bench -- fig5 --scale=tiny 2>&1)"
+BAD_FLAG_STATUS=$?
+set -e
+if [ "$BAD_FLAG_STATUS" -ne 2 ] || ! grep -q "^error: unknown flag \`--scale=tiny\`" <<<"$BAD_FLAG_OUT"; then
+  echo "aim-bench fig5 --scale=tiny: expected one error line and exit 2, got $BAD_FLAG_STATUS" >&2
   exit 1
 fi
 
 # The geometry sweeps are acceptance gates too: each run asserts every
 # swept point stays inside the no-spec..oracle bracket and must locate and
 # print a knee. The tiny grid is the reduced 2x2 CI matrix.
-echo "== tier1: table_pcax_sweep acceptance (tiny scale, tiny grid) =="
+echo "== tier1: aim-bench pcax-sweep acceptance (tiny scale, tiny grid) =="
 PCAX_SWEEP_OUT="$(AIM_PCAX_SWEEP_JSON="$(mktemp)" AIM_SWEEP_JSON="$(mktemp)" \
-  cargo run --release -q -p aim-bench --bin table_pcax_sweep -- --scale tiny --grid tiny)"
+  cargo run --release -q -p aim-bench -- pcax-sweep --scale tiny --grid tiny)"
 grep -q 'knee: ' <<<"$PCAX_SWEEP_OUT"
 grep -q 'acceptance: every swept pcax geometry inside the no-spec..oracle bracket, knee located' \
   <<<"$PCAX_SWEEP_OUT"
 
-echo "== tier1: table_filter_sweep acceptance (tiny scale, tiny grid) =="
+echo "== tier1: aim-bench filter-sweep acceptance (tiny scale, tiny grid) =="
 FILTER_SWEEP_OUT="$(AIM_FILTER_SWEEP_JSON="$(mktemp)" AIM_SWEEP_JSON="$(mktemp)" \
-  cargo run --release -q -p aim-bench --bin table_filter_sweep -- --scale tiny --grid tiny)"
+  cargo run --release -q -p aim-bench -- filter-sweep --scale tiny --grid tiny)"
 grep -q 'knee: ' <<<"$FILTER_SWEEP_OUT"
 grep -q 'acceptance: every swept filter geometry inside the no-spec..oracle bracket, knee located' \
   <<<"$FILTER_SWEEP_OUT"
@@ -85,9 +102,9 @@ grep -q 'acceptance: every swept filter geometry inside the no-spec..oracle brac
 # run only with itself, so the accepted fingerprint is also pinned: a
 # change that alters any statistic must update it here and bump
 # aim_bench::CODE_VERSION in the same commit.
-echo "== tier1: table_hostperf differential gate (tiny scale) =="
-HOSTPERF_OUT="$(AIM_HOSTPERF_JSON="$(mktemp)" \
-  cargo run --release -q -p aim-bench --bin table_hostperf -- --scale tiny --check)"
+echo "== tier1: aim-bench hostperf differential gate (tiny scale) =="
+HOSTPERF_OUT="$(AIM_HOSTPERF_JSON="$(mktemp)" AIM_SWEEP_JSON="$(mktemp)" \
+  cargo run --release -q -p aim-bench -- hostperf --scale tiny --check)"
 grep -q 'hostperf: multi-core N=1 fingerprint matches single-core' <<<"$HOSTPERF_OUT"
 grep -q 'hostperf: ACCEPT fingerprint=0xa49ad3104b1c2d9a ' <<<"$HOSTPERF_OUT"
 # The same run pins the kilo-entry window: the six huge-far800 backends
@@ -100,9 +117,9 @@ grep -q 'hostperf: huge-far800 fingerprint=0xa32569539e722595 ' <<<"$HOSTPERF_OU
 # BENCH_litmus.json is the full 200-schedule run); the integration test
 # suite already ran the deeper AIM_LITMUS_SCHEDULES default during
 # `cargo test -p aim-pipeline`.
-echo "== tier1: table_litmus containment gate (8 schedules) =="
+echo "== tier1: aim-bench litmus containment gate (8 schedules) =="
 AIM_LITMUS_JSON="$(mktemp)" \
-  cargo run --release -q -p aim-bench --bin table_litmus -- --schedules 8 \
+  cargo run --release -q -p aim-bench -- litmus --schedules 8 \
   | grep -q 'litmus: ACCEPT'
 
 # The serve gate: replay the hostperf request matrix against an empty
