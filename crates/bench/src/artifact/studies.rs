@@ -737,7 +737,8 @@ fn filter(run: &Run) -> Table {
         let (off_name, on_name) = (format!("mdt{mdt}-off"), format!("mdt{mdt}-on"));
         let geometry = per_kernel(run, |w, row| {
             let (off, on) = (run.stats(w, &off_name), run.stats(w, &on_name));
-            let skip = 100.0 * on.mdt_filtered_loads as f64 / on.retired_loads.max(1) as f64;
+            let checks = on.backend.mdt().map_or(0, |m| m.load_checks);
+            let skip = 100.0 * skip_rate(on.mdt_filtered_loads, checks);
             row.put_str("mdt", &mdt)
                 .put_f64("off_ipc", off.ipc())
                 .put_u64("off_conflicts", conflicts(off))

@@ -83,6 +83,12 @@ fn every_artifact_runs_through_the_driver_at_tiny() {
                 column.head
             );
         }
+        if name == "filter" {
+            for row in &out.table.rows {
+                let skip = row.f64_field("skip").expect("filter rows carry skip%");
+                assert!(skip <= 100.0, "filter: skip% {skip} above 100: {row:?}");
+            }
+        }
         if let Some(report) = &out.table.report {
             assert_eq!(
                 report.json.matches("\n    {").count(),

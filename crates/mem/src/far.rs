@@ -18,11 +18,11 @@
 //! * Otherwise the access allocates an MSHR and completes at
 //!   `now + latency`, rounded **up** to the next multiple of `batch`
 //!   (far-memory transports return data in bursts).
-//! * When all MSHRs are busy, a *refusable* access ([`FarMemory::try_access`],
-//!   the load-execute path) is rejected so the pipeline can replay it;
-//!   a *never-refuse* access ([`FarMemory::access`] — instruction fetch,
-//!   store commit, head-of-ROB bypass) queues behind the earliest
-//!   completing miss instead.
+//! * When all MSHRs are busy, a *refusable* access (the load-execute
+//!   path) is refused at admission ([`FarMemory::admit`]) so the pipeline
+//!   can replay it; a *never-refuse* access ([`FarMemory::access`] —
+//!   instruction fetch, store commit, head-of-ROB bypass) queues behind
+//!   the earliest completing miss instead.
 //!
 //! # Examples
 //!
@@ -30,11 +30,12 @@
 //! use aim_mem::{FarMemory, FarSpec};
 //!
 //! let mut far = FarMemory::new(FarSpec::new(400, 2, 1));
-//! assert_eq!(far.access(7, 0), 400);      // cold miss
-//! assert_eq!(far.access(7, 100), 300);    // coalesces with the first
-//! assert_eq!(far.access(8, 0), 400);      // second MSHR
-//! assert_eq!(far.try_access(9, 0), None); // both MSHRs busy: refused
-//! assert_eq!(far.try_access(9, 400), Some(400)); // slots drained
+//! assert_eq!(far.access(7, 0), 400);   // cold miss
+//! assert_eq!(far.access(7, 100), 300); // coalesces with the first
+//! assert_eq!(far.access(8, 0), 400);   // second MSHR
+//! assert!(!far.admit(9, 0));           // both MSHRs busy: refused
+//! assert!(far.admit(9, 400));          // slots drained
+//! assert_eq!(far.access(9, 400), 400);
 //! ```
 
 use std::fmt;
@@ -212,11 +213,11 @@ impl FarMemory {
         ready - now
     }
 
-    /// The admission decision of [`FarMemory::try_access`] without the
-    /// allocation: drains completed misses and reports whether an access
-    /// to `line` at `now` would be accepted (an MSHR is free, or the line
-    /// is already in flight to coalesce with). A refusal is counted as
-    /// `busy`; an acceptance allocates nothing — follow up with
+    /// The admission decision of a refusable access to `line` at cycle
+    /// `now`: drains completed misses and reports whether the access would
+    /// be accepted (an MSHR is free, or the line is already in flight to
+    /// coalesce with). A refusal is counted as `busy` — the caller replays
+    /// the access later; an acceptance allocates nothing — follow up with
     /// [`FarMemory::access`].
     pub fn admit(&mut self, line: u64, now: u64) -> bool {
         self.drain(now);
@@ -225,27 +226,6 @@ impl FarMemory {
         }
         self.stats.busy += 1;
         false
-    }
-
-    /// A refusable access to `line` at cycle `now`: `Some(cycles)` until
-    /// data is available, or `None` when every MSHR is busy and the line is
-    /// not already in flight (counted as `busy` — the caller replays the
-    /// access later).
-    pub fn try_access(&mut self, line: u64, now: u64) -> Option<u64> {
-        self.drain(now);
-        if let Some(ready) = self.find(line) {
-            self.stats.accesses += 1;
-            self.stats.coalesced += 1;
-            return Some(ready - now);
-        }
-        if self.inflight.len() >= self.spec.mshrs {
-            self.stats.busy += 1;
-            return None;
-        }
-        self.stats.accesses += 1;
-        let ready = self.batch_align(now + self.spec.latency);
-        self.push(ready, line);
-        Some(ready - now)
     }
 }
 
@@ -280,36 +260,30 @@ mod tests {
         let mut f = far(400, 4, 1);
         assert_eq!(f.access(1, 0), 400);
         assert_eq!(f.access(1, 150), 250);
-        assert_eq!(f.try_access(1, 399), Some(1));
+        assert_eq!(f.access(1, 399), 1);
         let s = f.stats();
         assert_eq!((s.accesses, s.coalesced), (3, 2));
         assert_eq!(f.inflight(), 1); // still one MSHR
     }
 
     #[test]
-    fn try_access_refuses_when_full_and_recovers() {
+    fn admit_refuses_when_full_and_recovers() {
         let mut f = far(100, 2, 1);
-        assert_eq!(f.try_access(1, 0), Some(100));
-        assert_eq!(f.try_access(2, 0), Some(100));
-        assert_eq!(f.try_access(3, 0), None);
-        assert_eq!(f.stats().busy, 1);
-        // A coalescing access is never refused, even when full.
-        assert_eq!(f.try_access(2, 50), Some(50));
-        // At cycle 100 both misses have completed; MSHRs are free again.
-        assert_eq!(f.try_access(3, 100), Some(100));
-        assert_eq!(f.stats().busy, 1);
-    }
-
-    #[test]
-    fn admit_mirrors_try_access_without_allocating() {
-        let mut f = far(100, 1, 1);
         assert!(f.admit(1, 0));
         assert_eq!(f.inflight(), 0); // admission allocates nothing
         assert_eq!(f.access(1, 0), 100);
-        assert!(!f.admit(2, 10)); // MSHR busy with line 1
+        assert!(f.admit(2, 0));
+        assert_eq!(f.access(2, 0), 100);
+        // Both MSHRs busy: refused, counted, and nothing allocated.
+        assert!(!f.admit(3, 10));
         assert_eq!(f.stats().busy, 1);
-        assert!(f.admit(1, 10)); // coalescible: admitted even when full
-        assert!(f.admit(2, 100)); // drained
+        assert_eq!(f.inflight(), 2);
+        // A coalescing access is never refused, even when full.
+        assert!(f.admit(2, 50));
+        assert_eq!(f.access(2, 50), 50);
+        // At cycle 100 both misses have completed; MSHRs are free again.
+        assert!(f.admit(3, 100));
+        assert_eq!(f.access(3, 100), 100);
         assert_eq!(f.stats().busy, 1);
     }
 

@@ -1,11 +1,12 @@
-//! The L1I / L1D / L2 cache hierarchy of the paper's Figure 4, and the
-//! canonical [`MemSpec`] describing every tier of the memory system.
+//! The canonical [`MemSpec`] describing every tier of the memory system
+//! (by default the L1I / L1D / L2 hierarchy of the paper's Figure 4), and
+//! the [`MemLevel`] that serves an access.
 
 use std::fmt;
 
 use aim_types::Addr;
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::CacheConfig;
 use crate::far::FarSpec;
 
 /// Which level of the hierarchy served an access.
@@ -25,7 +26,7 @@ pub enum MemLevel {
 /// This is the single config type every layer threads — the `SimConfig`
 /// builder's `.mem(..)` knob, the shared memory system, the wire
 /// `JobSpec`, and the content-addressed cache key all speak `MemSpec`.
-/// The legacy name [`HierarchyConfig`] is an alias.
+/// [`CoreMemSys`](crate::CoreMemSys) walks its latency ladder.
 ///
 /// Defaults reproduce Figure 4 of the paper (no far tier):
 ///
@@ -34,6 +35,18 @@ pub enum MemLevel {
 /// | L1 I | 8 KB, 2-way, 128 B lines | 10 cycles |
 /// | L1 D | 8 KB, 4-way, 64 B lines | 10 cycles |
 /// | L2 | 512 KB, 8-way, 128 B lines | 100 cycles |
+///
+/// # Examples
+///
+/// ```
+/// use aim_mem::{CoreMemSys, MainMemory, MemLevel, MemSpec};
+/// use aim_types::Addr;
+///
+/// let mut core = CoreMemSys::single(MainMemory::new(), MemSpec::figure4());
+/// // Cold: 1 (L1 hit time) + 10 (L1 miss) + 100 (L2 miss) cycles.
+/// assert_eq!(core.access_data_at(Addr(0x4000), 0), (MemLevel::Memory, 111));
+/// assert_eq!(core.access_data_at(Addr(0x4000), 1), (MemLevel::L1, 1));
+/// ```
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct MemSpec {
     /// L1 instruction cache geometry.
@@ -54,10 +67,6 @@ pub struct MemSpec {
     /// The far-memory tier behind the shared L2, if any.
     pub far: Option<FarSpec>,
 }
-
-/// The pre-`MemSpec` name of the memory config, kept as an alias so the
-/// original call sites (and their serialized `Debug` text) keep working.
-pub type HierarchyConfig = MemSpec;
 
 impl Default for MemSpec {
     fn default() -> MemSpec {
@@ -101,10 +110,11 @@ impl MemSpec {
 
 /// **Compatibility contract** (the content-addressed result cache and the
 /// hostperf stats fingerprint both hash `Debug` text): a `MemSpec` without
-/// a far tier renders byte-identically to the pre-refactor derived
-/// `HierarchyConfig` output, so every pre-existing config keeps its cache
-/// key. Only a spec with `far: Some(..)` renders the new field (under the
-/// `MemSpec` name) — a genuinely new machine, so a new key is correct.
+/// a far tier renders byte-identically to the derived `Debug` of the
+/// struct's original name, `HierarchyConfig`, so every pre-existing config
+/// keeps its cache key. Only a spec with `far: Some(..)` renders the new
+/// field (under the `MemSpec` name) — a genuinely new machine, so a new key
+/// is correct.
 impl fmt::Debug for MemSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut d = f.debug_struct(if self.far.is_some() {
@@ -125,97 +135,18 @@ impl fmt::Debug for MemSpec {
     }
 }
 
-/// The simulated machine's cache hierarchy: split L1, unified L2.
-///
-/// Purely a timing model — see [`Cache`]. Instruction fetches probe L1I→L2;
-/// data accesses probe L1D→L2. Store commits update tags like loads (write-
-/// allocate) but the commit itself is buffered and never stalls retirement.
-///
-/// This is the legacy self-contained form with a flat near-memory backing
-/// latency; it ignores any [`MemSpec::far`] tier. The pipeline runs on the
-/// multi-core split ([`CoreMemSys`](crate::CoreMemSys) over a
-/// [`SharedMemSystem`](crate::SharedMemSystem)), which is where the
-/// far-memory tier is modeled.
-///
-/// # Examples
-///
-/// ```
-/// use aim_mem::{CacheHierarchy, HierarchyConfig, MemLevel};
-/// use aim_types::Addr;
-///
-/// let mut h = CacheHierarchy::new(HierarchyConfig::default());
-/// let (level, lat) = h.access_data(Addr(0x4000));
-/// assert_eq!(level, MemLevel::Memory); // cold
-/// let (level, lat2) = h.access_data(Addr(0x4000));
-/// assert_eq!(level, MemLevel::L1);
-/// assert!(lat2 < lat);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CacheHierarchy {
-    config: HierarchyConfig,
-    l1i: Cache,
-    l1d: Cache,
-    l2: Cache,
-}
-
-impl CacheHierarchy {
-    /// Builds an empty hierarchy.
-    pub fn new(config: HierarchyConfig) -> CacheHierarchy {
-        CacheHierarchy {
-            config,
-            l1i: Cache::new(config.l1i),
-            l1d: Cache::new(config.l1d),
-            l2: Cache::new(config.l2),
-        }
-    }
-
-    /// The configured parameters.
-    pub fn config(&self) -> HierarchyConfig {
-        self.config
-    }
-
-    fn access(
-        l1: &mut Cache,
-        l2: &mut Cache,
-        cfg: &HierarchyConfig,
-        addr: Addr,
-    ) -> (MemLevel, u64) {
-        if l1.access(addr) {
-            (MemLevel::L1, cfg.l1_hit_cycles)
-        } else if l2.access(addr) {
-            (MemLevel::L2, cfg.l1_hit_cycles + cfg.l1_miss_cycles)
-        } else {
-            (
-                MemLevel::Memory,
-                cfg.l1_hit_cycles + cfg.l1_miss_cycles + cfg.l2_miss_cycles,
-            )
-        }
-    }
-
-    /// Fetches an instruction address; returns the serving level and latency.
-    pub fn access_instr(&mut self, addr: Addr) -> (MemLevel, u64) {
-        Self::access(&mut self.l1i, &mut self.l2, &self.config, addr)
-    }
-
-    /// Accesses a data address (load, or store commit); returns the serving
-    /// level and latency in cycles.
-    pub fn access_data(&mut self, addr: Addr) -> (MemLevel, u64) {
-        Self::access(&mut self.l1d, &mut self.l2, &self.config, addr)
-    }
-
-    /// Hit/miss counters for (L1I, L1D, L2).
-    pub fn stats(&self) -> (CacheStats, CacheStats, CacheStats) {
-        (self.l1i.stats(), self.l1d.stats(), self.l2.stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CoreMemSys, MainMemory};
+
+    fn core() -> CoreMemSys {
+        CoreMemSys::single(MainMemory::new(), MemSpec::default())
+    }
 
     #[test]
     fn default_matches_figure4() {
-        let cfg = HierarchyConfig::default();
+        let cfg = MemSpec::default();
         assert_eq!(cfg.l1i.capacity_bytes(), 8 * 1024);
         assert_eq!(cfg.l1i.ways(), 2);
         assert_eq!(cfg.l1i.line_bytes(), 128);
@@ -229,24 +160,21 @@ mod tests {
 
     #[test]
     fn latency_ladder() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
-        let (lv0, lat0) = h.access_data(Addr(0x9000));
-        assert_eq!((lv0, lat0), (MemLevel::Memory, 111));
-        let (lv1, lat1) = h.access_data(Addr(0x9000));
-        assert_eq!((lv1, lat1), (MemLevel::L1, 1));
+        let mut c = core();
+        assert_eq!(c.access_data_at(Addr(0x9000), 0), (MemLevel::Memory, 111));
+        assert_eq!(c.access_data_at(Addr(0x9000), 1), (MemLevel::L1, 1));
         // A different address in the same L2 line but a different L1D line:
         // L1D lines are 64 B, L2 lines are 128 B.
-        let (lv2, lat2) = h.access_data(Addr(0x9040));
-        assert_eq!((lv2, lat2), (MemLevel::L2, 11));
+        assert_eq!(c.access_data_at(Addr(0x9040), 2), (MemLevel::L2, 11));
     }
 
     #[test]
     fn instruction_and_data_paths_are_split() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
-        h.access_instr(Addr(0x100));
+        let mut c = core();
+        c.access_instr_at(Addr(0x100), 0);
         // Same address on the data side still misses L1D (but hits the
         // unified L2, which the instruction fill populated).
-        let (lv, _) = h.access_data(Addr(0x100));
+        let (lv, _) = c.access_data_at(Addr(0x100), 1);
         assert_eq!(lv, MemLevel::L2);
     }
 
@@ -288,11 +216,11 @@ mod tests {
 
     #[test]
     fn stats_attribution() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::default());
-        h.access_instr(Addr(0));
-        h.access_data(Addr(0));
-        h.access_data(Addr(0));
-        let (i, d, l2) = h.stats();
+        let mut c = core();
+        c.access_instr_at(Addr(0), 0);
+        c.access_data_at(Addr(0), 1);
+        c.access_data_at(Addr(0), 2);
+        let (i, d, l2) = c.stats();
         assert_eq!(i.accesses(), 1);
         assert_eq!(d.accesses(), 2);
         assert_eq!(d.hits, 1);

@@ -12,17 +12,19 @@
 //!   [`MainMemory`]; the cache models *timing* (hits and misses), matching the
 //!   methodology of the paper, whose caches supply latencies while retirement
 //!   results are validated against an architectural trace.
-//! * [`CacheHierarchy`] — the L1I/L1D/L2 arrangement of the paper's Figure 4
-//!   with its 10/10/100-cycle miss latencies.
 //! * [`MemSpec`] — the canonical per-tier description of the whole memory
 //!   system (cache geometries, latency ladder, optional far tier), threaded
-//!   through the `SimConfig` builder and the wire `JobSpec` alike.
+//!   through the `SimConfig` builder and the wire `JobSpec` alike; its
+//!   default is the L1I/L1D/L2 arrangement of the paper's Figure 4 with its
+//!   10/100-cycle miss ladder.
 //! * [`FarMemory`] — an optional high-latency far-memory tier behind the
 //!   shared L2 (hundreds-of-cycles loads, MSHR-bounded in-flight misses,
 //!   batched completion), enabled via [`MemSpec::far`].
-//! * [`SharedMemSystem`] / [`CoreMemSys`] — the multi-core split of the same
-//!   hierarchy: private per-core L1s in front of one shared L2 and one
-//!   committed memory, behind a single-threaded [`SharedHandle`].
+//! * [`SharedMemSystem`] / [`CoreMemSys`] — the memory system the pipeline
+//!   runs: private per-core L1s in front of one shared tier (the L2, the
+//!   far tier and committed memory), walking one latency ladder. A core
+//!   owns the tier by value while it runs; a multi-core machine lends it
+//!   to each core in turn.
 //! * [`StoreFifo`] — the paper's non-associative store FIFO: "a store enters
 //!   the non-associative store FIFO at dispatch, writes its data and address
 //!   to the FIFO during execution, and exits the FIFO at retirement" (Fig. 1).
@@ -48,7 +50,7 @@ mod store_fifo;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use far::{FarMemory, FarSpec, FarStats};
-pub use hierarchy::{CacheHierarchy, HierarchyConfig, MemLevel, MemSpec};
+pub use hierarchy::{MemLevel, MemSpec};
 pub use memory::MainMemory;
-pub use shared::{CoreMemSys, SharedHandle, SharedMemSystem};
+pub use shared::{CoreMemSys, SharedMemSystem};
 pub use store_fifo::{StoreFifo, StoreFifoEntry};

@@ -10,10 +10,7 @@
 //! schedule-invariant. Conversely, the L1 columns are private by
 //! construction, so they must match a solo run of the same stream exactly.
 
-use aim_mem::{
-    CacheStats, CoreMemSys, FarSpec, FarStats, HierarchyConfig, MainMemory, MemSpec,
-    SharedMemSystem,
-};
+use aim_mem::{CacheStats, CoreMemSys, FarSpec, FarStats, MainMemory, MemSpec, SharedMemSystem};
 use aim_types::Addr;
 use proptest::prelude::*;
 
@@ -30,29 +27,30 @@ fn addr_of(core: usize, (offset, _): Access) -> Addr {
     Addr(core as u64 * REGION_BYTES + (offset as u64 % REGION_BYTES))
 }
 
-fn drive(core: &mut CoreMemSys, id: usize, access: Access) {
+fn drive(core: &mut CoreMemSys, id: usize, access: Access, now: u64) {
+    let addr = addr_of(id, access);
     if access.1 {
-        core.access_instr(addr_of(id, access));
+        core.access_instr_at(addr, now);
     } else {
-        core.access_data(addr_of(id, access));
+        core.access_data_at(addr, now);
     }
 }
 
-/// Runs both streams through one shared system, consuming them in chunks
-/// dictated by `schedule` (core pick, chunk length); leftovers drain in
-/// core order. Returns ((core0 L1I, core0 L1D), (core1 L1I, core1 L1D),
-/// shared L2) counters.
+/// Runs both streams over one shared tier, consuming them in chunks
+/// dictated by `schedule` (core pick, chunk length) with the tier handed
+/// to the picked core for each chunk; leftovers drain in core order. A
+/// global clock ticks once per access. Returns ((core0 L1I, core0 L1D),
+/// (core1 L1I, core1 L1D)), the shared L2's and (when `cfg` has one) the
+/// far tier's counters.
 fn run_interleaved(
+    cfg: MemSpec,
     streams: &[Vec<Access>; 2],
     schedule: &[(bool, u8)],
-) -> ([(CacheStats, CacheStats); 2], CacheStats) {
-    let cfg = HierarchyConfig::default();
-    let shared = SharedMemSystem::new(MainMemory::new(), cfg).into_handle();
-    let mut cores = [
-        CoreMemSys::attach(0, cfg, shared.clone()),
-        CoreMemSys::attach(1, cfg, shared.clone()),
-    ];
+) -> ([(CacheStats, CacheStats); 2], CacheStats, Option<FarStats>) {
+    let mut cores = [CoreMemSys::detached(cfg), CoreMemSys::detached(cfg)];
+    let mut tier = SharedMemSystem::new(MainMemory::new(), cfg);
     let mut cursors = [0usize, 0usize];
+    let mut now = 0u64;
     let mut quanta = schedule
         .iter()
         .map(|&(pick, len)| (pick as usize, len as usize + 1))
@@ -60,73 +58,22 @@ fn run_interleaved(
         .chain([(0, usize::MAX), (1, usize::MAX)]);
     while cursors[0] < streams[0].len() || cursors[1] < streams[1].len() {
         let (id, len) = quanta.next().expect("drain tail is unbounded");
-        for _ in 0..len {
-            let Some(&access) = streams[id].get(cursors[id]) else {
-                break;
-            };
-            drive(&mut cores[id], id, access);
-            cursors[id] += 1;
-        }
-    }
-    let l1 = [
-        (cores[0].stats().0, cores[0].stats().1),
-        (cores[1].stats().0, cores[1].stats().1),
-    ];
-    let l2 = shared.borrow().l2_stats();
-    (l1, l2)
-}
-
-/// Runs one stream alone through a fresh single-core system.
-fn run_solo(core_id: usize, stream: &[Access]) -> (CacheStats, CacheStats) {
-    let mut core = CoreMemSys::single(MainMemory::new(), HierarchyConfig::default());
-    for &access in stream {
-        drive(&mut core, core_id, access);
-    }
-    (core.stats().0, core.stats().1)
-}
-
-/// Like [`run_interleaved`], but over an arbitrary hierarchy through the
-/// timed access ports, with a global clock ticking once per access.
-/// Additionally returns the far-tier counters (when `cfg` has one).
-fn run_interleaved_at(
-    cfg: MemSpec,
-    streams: &[Vec<Access>; 2],
-    schedule: &[(bool, u8)],
-) -> ([(CacheStats, CacheStats); 2], CacheStats, Option<FarStats>) {
-    let shared = SharedMemSystem::new(MainMemory::new(), cfg).into_handle();
-    let mut cores = [
-        CoreMemSys::attach(0, cfg, shared.clone()),
-        CoreMemSys::attach(1, cfg, shared.clone()),
-    ];
-    let mut cursors = [0usize, 0usize];
-    let mut now = 0u64;
-    let mut quanta = schedule
-        .iter()
-        .map(|&(pick, len)| (pick as usize, len as usize + 1))
-        .chain([(0, usize::MAX), (1, usize::MAX)]);
-    while cursors[0] < streams[0].len() || cursors[1] < streams[1].len() {
-        let (id, len) = quanta.next().expect("drain tail is unbounded");
-        for _ in 0..len {
-            let Some(&access) = streams[id].get(cursors[id]) else {
-                break;
-            };
-            let addr = addr_of(id, access);
-            if access.1 {
-                cores[id].access_instr_at(addr, now);
-            } else {
-                cores[id].access_data_at(addr, now);
-            }
+        cores[id].receive(tier);
+        for &access in streams[id][cursors[id]..].iter().take(len) {
+            drive(&mut cores[id], id, access, now);
             now += 1;
             cursors[id] += 1;
         }
+        tier = cores[id].hand_back();
     }
-    let l1 = [
-        (cores[0].stats().0, cores[0].stats().1),
-        (cores[1].stats().0, cores[1].stats().1),
-    ];
-    let l2 = shared.borrow().l2_stats();
-    let far = shared.borrow().far_stats();
-    (l1, l2, far)
+    let mut l1 = [(CacheStats::default(), CacheStats::default()); 2];
+    for (id, core) in cores.iter_mut().enumerate() {
+        core.receive(tier);
+        let (l1i, l1d, _) = core.stats();
+        l1[id] = (l1i, l1d);
+        tier = core.hand_back();
+    }
+    (l1, tier.l2_stats(), tier.far_stats())
 }
 
 fn stream() -> impl Strategy<Value = Vec<Access>> {
@@ -135,6 +82,16 @@ fn stream() -> impl Strategy<Value = Vec<Access>> {
 
 fn schedule() -> impl Strategy<Value = Vec<(bool, u8)>> {
     proptest::collection::vec((any::<bool>(), any::<u8>()), 0..64)
+}
+
+/// Runs one stream alone through a fresh single-core system; returns its
+/// (L1I, L1D, L2) counters.
+fn run_solo(core_id: usize, stream: &[Access]) -> (CacheStats, CacheStats, CacheStats) {
+    let mut core = CoreMemSys::single(MainMemory::new(), MemSpec::default());
+    for (now, &access) in stream.iter().enumerate() {
+        drive(&mut core, core_id, access, now as u64);
+    }
+    core.stats()
 }
 
 proptest! {
@@ -149,33 +106,26 @@ proptest! {
         schedule_a in schedule(),
         schedule_b in schedule(),
     ) {
+        let cfg = MemSpec::default();
         let streams = [stream0, stream1];
-        let (l1_a, l2_a) = run_interleaved(&streams, &schedule_a);
-        let (l1_b, l2_b) = run_interleaved(&streams, &schedule_b);
+        let (l1_a, l2_a, _) = run_interleaved(cfg, &streams, &schedule_a);
+        let (l1_b, l2_b, _) = run_interleaved(cfg, &streams, &schedule_b);
         prop_assert_eq!(l2_a, l2_b);
         prop_assert_eq!(l1_a, l1_b);
-        for (id, stream) in streams.iter().enumerate() {
-            prop_assert_eq!(l1_a[id], run_solo(id, stream));
+        let solo = [run_solo(0, &streams[0]), run_solo(1, &streams[1])];
+        for (id, (l1i, l1d, _)) in solo.iter().enumerate() {
+            prop_assert_eq!(l1_a[id], (*l1i, *l1d));
         }
         // Sanity: the shared L2 really saw both cores' misses.
-        let solo_l2 = |s: &[Access], id: usize| {
-            let mut core = CoreMemSys::single(MainMemory::new(), HierarchyConfig::default());
-            for &a in s {
-                drive(&mut core, id, a);
-            }
-            core.stats().2
-        };
-        let s0 = solo_l2(&streams[0], 0);
-        let s1 = solo_l2(&streams[1], 1);
+        let (s0, s1) = (solo[0].2, solo[1].2);
         prop_assert_eq!(l2_a.accesses(), s0.accesses() + s1.accesses());
         prop_assert_eq!(l2_a.hits, s0.hits + s1.hits);
     }
 
-    /// The far tier only reshapes *latency*: with it enabled (through the
-    /// timed ports), the L1/L2 hit/miss counters stay interleaving-
-    /// invariant and byte-identical to the near-memory-only hierarchy,
-    /// every L2 miss becomes exactly one far access, and the MSHR bound
-    /// holds.
+    /// The far tier only reshapes *latency*: with it enabled, the L1/L2
+    /// hit/miss counters stay interleaving-invariant and byte-identical to
+    /// the near-memory-only hierarchy, every L2 miss becomes exactly one
+    /// far access, and the MSHR bound holds.
     #[test]
     fn far_tier_never_perturbs_the_cache_counters(
         (stream0, stream1) in (stream(), stream()),
@@ -185,13 +135,13 @@ proptest! {
         let spec = FarSpec::new(300, 4, 8);
         let cfg = MemSpec::figure4().with_far(spec);
         let streams = [stream0, stream1];
-        let (l1_a, l2_a, far_a) = run_interleaved_at(cfg, &streams, &schedule_a);
-        let (l1_b, l2_b, _) = run_interleaved_at(cfg, &streams, &schedule_b);
+        let (l1_a, l2_a, far_a) = run_interleaved(cfg, &streams, &schedule_a);
+        let (l1_b, l2_b, _) = run_interleaved(cfg, &streams, &schedule_b);
         prop_assert_eq!(l2_a, l2_b);
         prop_assert_eq!(l1_a, l1_b);
 
         let (l1_near, l2_near, far_near) =
-            run_interleaved_at(MemSpec::figure4(), &streams, &schedule_a);
+            run_interleaved(MemSpec::figure4(), &streams, &schedule_a);
         prop_assert_eq!(far_near, None);
         prop_assert_eq!(l1_a, l1_near);
         prop_assert_eq!(l2_a, l2_near);

@@ -5,7 +5,7 @@ use std::fmt;
 use aim_backend::{
     BackendParams, FilterConfig, LsqConfig, MdtConfig, PartialMatchPolicy, PcaxConfig, SfcConfig,
 };
-use aim_mem::{HierarchyConfig, MemSpec};
+use aim_mem::MemSpec;
 use aim_predictor::{EnforceMode, PredictorConfig};
 use aim_types::SampleSpec;
 
@@ -61,7 +61,7 @@ pub struct SimConfig {
     /// optional far-memory tier (the canonical [`MemSpec`]; the field keeps
     /// its pre-`MemSpec` name, which the content-addressed cache key's
     /// canonical `Debug` text depends on).
-    pub hierarchy: HierarchyConfig,
+    pub hierarchy: MemSpec,
     /// Which memory-ordering backend the machine instantiates (see
     /// [`aim_backend::build`]).
     pub backend: BackendConfig,
@@ -180,7 +180,7 @@ impl SimConfig {
             alu_latency: 1,
             mul_latency: 3,
             agu_latency: 1,
-            hierarchy: HierarchyConfig::default(),
+            hierarchy: MemSpec::default(),
             backend,
             dep_predictor: PredictorConfig::figure4(EnforceMode::All),
             gshare_counters: 4096,

@@ -304,10 +304,7 @@ impl Core<'_> {
             filtered,
         };
 
-        let outcome = {
-            let mem = self.memsys.mem();
-            self.backend.load_execute(&req, &mem)
-        };
+        let outcome = self.backend.load_execute(&req, self.memsys.mem());
         match outcome {
             LoadOutcome::Done { value, forwarded } => {
                 let latency = if forwarded {
@@ -371,10 +368,7 @@ impl Core<'_> {
             bypass,
         };
 
-        let outcome = {
-            let mem = self.memsys.mem();
-            self.backend.store_execute(&req, &mem)
-        };
+        let outcome = self.backend.store_execute(&req, self.memsys.mem());
         match outcome {
             StoreOutcome::Replay(cause) => {
                 self.stats.replays.count(MemKind::Store, cause);

@@ -8,7 +8,7 @@ use std::fmt;
 
 use aim_backend::MemBackend;
 use aim_isa::{Instr, Program, Reg, Trace};
-use aim_mem::{CoreMemSys, MainMemory, SharedHandle};
+use aim_mem::{CoreMemSys, MainMemory};
 use aim_predictor::{Gshare, OracleBoost, ProducerSetPredictor, TagScoreboard};
 use aim_types::SeqNum;
 
@@ -70,8 +70,8 @@ pub struct FinalState {
 /// One simulated out-of-order processor core.
 ///
 /// A `Core` owns a full pipeline (fetch through retire, with recovery) and
-/// its private L1 caches, and reaches committed memory plus the unified L2
-/// through an [`aim_mem::SharedHandle`]. Construct with [`Machine::new`]
+/// its private L1 caches, and holds the shared tier (committed memory plus
+/// the unified L2) while it runs. Construct with [`Machine::new`]
 /// (self-contained single-core, the historical `Machine`) and drive with
 /// [`Machine::run`], or use the [`crate::simulate`] convenience function;
 /// [`crate::MultiMachine`] attaches several cores to one shared memory
@@ -106,9 +106,7 @@ pub struct Core<'a> {
     pub(crate) renamer: Renamer,
     pub(crate) rob: Rob,
     /// This core's private L1s over the (possibly shared) L2 and committed
-    /// memory. Holding a [`SharedHandle`] makes a `Core` single-threaded
-    /// (`!Send`); the bench harness constructs machines inside their worker
-    /// threads, so cross-simulation parallelism is unaffected.
+    /// memory.
     pub(crate) memsys: CoreMemSys,
     pub(crate) backend: Box<dyn MemBackend + Send>,
     pub(crate) dep_pred: ProducerSetPredictor,
@@ -171,19 +169,19 @@ impl<'a> Core<'a> {
         Core::attach(program, trace, config, memsys)
     }
 
-    /// Creates a core attached to an existing shared memory system as
-    /// `core_id`. The per-core oracle seed folds the core id in so sibling
-    /// cores draw independent streams; core 0 keeps the configured seed
-    /// bit-for-bit (the N=1 equivalence gate).
-    pub fn with_shared(
+    /// Creates core `core_id` of a [`crate::MultiMachine`], without the
+    /// shared tier: the machine lends it the tier for each step. The
+    /// per-core oracle seed folds the core id in so sibling cores draw
+    /// independent streams; core 0 keeps the configured seed bit-for-bit
+    /// (the N=1 equivalence gate).
+    pub(crate) fn sibling(
         program: &'a Program,
         trace: &'a Trace,
         mut config: SimConfig,
         core_id: usize,
-        shared: SharedHandle,
     ) -> Core<'a> {
         config.seed ^= (core_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let memsys = CoreMemSys::attach(core_id, config.hierarchy, shared);
+        let memsys = CoreMemSys::detached(config.hierarchy);
         Core::attach(program, trace, config, memsys)
     }
 

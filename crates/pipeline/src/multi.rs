@@ -2,24 +2,27 @@
 //! memory system, driven by a deterministic core scheduler.
 //!
 //! Each core runs its own program (with its own golden trace for fetch
-//! steering) and owns private L1 caches; all cores share committed memory
-//! and the unified L2 through an [`aim_mem::SharedHandle`]. The scheduler
-//! decides which core advances one cycle next — round-robin for the
-//! canonical interleaving, or a seeded random walk so the litmus harness
-//! can explore many interleavings reproducibly.
+//! steering) and owns private L1 caches. The machine keeps the one
+//! [`SharedMemSystem`] (committed memory, the unified L2, the far tier)
+//! and lends it to the core it steps, taking it back after the step
+//! (round-robin) or the burst (random): one core touches it at a time, as
+//! in the litmus harness's operational model. The scheduler decides which
+//! core advances next — round-robin for the canonical interleaving, or a
+//! seeded random walk so the litmus harness can explore many
+//! interleavings reproducibly.
 //!
 //! A `MultiMachine` with one core is *bit-identical* to the historical
-//! single-core [`Machine`]: `Core::with_shared` folds the core id into the
-//! oracle seed with an identity at core 0, [`CoreMemSys`] replicates the
-//! single-core hierarchy's latency ladder exactly, and the round-robin
-//! scheduler degenerates to the single-core cycle loop. The hostperf
-//! `--check` gate asserts this across the full configuration matrix.
+//! single-core [`Machine`]: `Core::sibling` folds the core id into the
+//! oracle seed with an identity at core 0, every core walks the same
+//! [`CoreMemSys`] latency ladder, and the round-robin scheduler
+//! degenerates to the single-core cycle loop. The hostperf `--check` gate
+//! asserts this across the full configuration matrix.
 //!
 //! [`CoreMemSys`]: aim_mem::CoreMemSys
 //! [`Machine`]: crate::Machine
 
 use aim_isa::{Interpreter, LitmusTest, Program, Trace};
-use aim_mem::{MainMemory, SharedHandle, SharedMemSystem};
+use aim_mem::{MainMemory, SharedMemSystem};
 
 use crate::config::SimConfig;
 use crate::machine::{Core, SimError};
@@ -94,7 +97,8 @@ pub struct MultiFinalState {
 /// ```
 pub struct MultiMachine<'a> {
     cores: Vec<Core<'a>>,
-    shared: SharedHandle,
+    /// The shared tier between steps; `None` while a core holds it.
+    shared: Option<SharedMemSystem>,
 }
 
 impl<'a> MultiMachine<'a> {
@@ -112,13 +116,11 @@ impl<'a> MultiMachine<'a> {
                 mem.write_bytes(*addr, bytes);
             }
         }
-        let shared = SharedMemSystem::new(mem, config.hierarchy).into_handle();
+        let shared = Some(SharedMemSystem::new(mem, config.hierarchy));
         let cores = workloads
             .iter()
             .enumerate()
-            .map(|(id, (program, trace))| {
-                Core::with_shared(program, trace, config.clone(), id, shared.clone())
-            })
+            .map(|(id, (program, trace))| Core::sibling(program, trace, config.clone(), id))
             .collect();
         MultiMachine { cores, shared }
     }
@@ -150,11 +152,7 @@ impl<'a> MultiMachine<'a> {
         self.run_loop(schedule)?;
         let stats = self.collect_stats();
         let regs = self.cores.iter().map(Core::arch_regs).collect();
-        drop(self.cores);
-        let mem = match std::rc::Rc::try_unwrap(self.shared) {
-            Ok(cell) => cell.into_inner().into_memory(),
-            Err(rc) => rc.borrow().mem().clone(),
-        };
+        let mem = self.shared.expect("the tier is home").into_memory();
         Ok((stats, MultiFinalState { regs, mem }))
     }
 
@@ -173,7 +171,7 @@ impl<'a> MultiMachine<'a> {
                 for core in &mut self.cores {
                     if !core.halted {
                         live = true;
-                        core.step(&mut ())?;
+                        lend(&mut self.shared, core, |core| core.step(&mut ()))?;
                     }
                 }
                 if !live {
@@ -191,12 +189,15 @@ impl<'a> MultiMachine<'a> {
                     }
                     let pick = live[(rng.next() % live.len() as u64) as usize];
                     let burst = (rng.next() % 128) + 1;
-                    for _ in 0..burst {
-                        if self.cores[pick].halted {
-                            break;
+                    lend(&mut self.shared, &mut self.cores[pick], |core| {
+                        for _ in 0..burst {
+                            if core.halted {
+                                break;
+                            }
+                            core.step(&mut ())?;
                         }
-                        self.cores[pick].step(&mut ())?;
-                    }
+                        Ok(())
+                    })?;
                 }
             }
         }
@@ -206,7 +207,7 @@ impl<'a> MultiMachine<'a> {
         // core froze its own copy at its own halt time above).
         for core in &mut self.cores {
             core.stats.cycles = core.cycle;
-            core.finalize_stats();
+            lend(&mut self.shared, core, Core::finalize_stats);
             core.stats.host.wall_ns = wall_ns;
         }
         Ok(())
@@ -217,6 +218,18 @@ impl<'a> MultiMachine<'a> {
         let merged = merge_stats(&per_core);
         MultiStats { per_core, merged }
     }
+}
+
+/// Lends the shared tier to `core` for `f`, then takes it back.
+fn lend<'a, R>(
+    shared: &mut Option<SharedMemSystem>,
+    core: &mut Core<'a>,
+    f: impl FnOnce(&mut Core<'a>) -> R,
+) -> R {
+    core.memsys.receive(shared.take().expect("the tier is home between steps"));
+    let result = f(core);
+    *shared = Some(core.memsys.hand_back());
+    result
 }
 
 /// Merges per-core statistics into a whole-machine view (see

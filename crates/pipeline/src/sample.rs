@@ -446,10 +446,7 @@ impl Core<'_> {
                     floor,
                     bypass,
                 };
-                let outcome = {
-                    let mem = self.memsys.mem();
-                    self.backend.store_execute(&req, &mem)
-                };
+                let outcome = self.backend.store_execute(&req, self.memsys.mem());
                 match outcome {
                     StoreOutcome::Done { violations, .. } => {
                         debug_assert!(
@@ -490,10 +487,7 @@ impl Core<'_> {
                     floor,
                     filtered: false,
                 };
-                let outcome = {
-                    let mem = self.memsys.mem();
-                    self.backend.load_execute(&req, &mem)
-                };
+                let outcome = self.backend.load_execute(&req, self.memsys.mem());
                 match outcome {
                     LoadOutcome::Done { value, .. } => {
                         let _ = self.memsys.access_data_at(access.addr(), self.cycle);

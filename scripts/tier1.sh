@@ -19,9 +19,11 @@ AIM_PACKAGES=(
   aim-examples
 )
 
-# aim-bench is held to rustfmt (the rest of the tree is not yet).
+# aim-bench and aim-mem are held to rustfmt (the rest of the tree is not yet).
 echo "== tier1: cargo fmt --check -p aim-bench =="
 cargo fmt --check -p aim-bench
+echo "== tier1: cargo fmt --check -p aim-mem =="
+cargo fmt --check -p aim-mem
 
 echo "== tier1: cargo build --release =="
 cargo build --release
