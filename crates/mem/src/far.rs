@@ -270,12 +270,11 @@ mod tests {
     fn admit_refuses_when_full_and_recovers() {
         let mut f = far(100, 2, 1);
         assert!(f.admit(1, 0));
-        assert_eq!(f.inflight(), 0); // admission allocates nothing
         assert_eq!(f.access(1, 0), 100);
         assert!(f.admit(2, 0));
         assert_eq!(f.access(2, 0), 100);
         // Both MSHRs busy: refused, counted, and nothing allocated.
-        assert!(!f.admit(3, 10));
+        assert!(!f.admit(3, 0));
         assert_eq!(f.stats().busy, 1);
         assert_eq!(f.inflight(), 2);
         // A coalescing access is never refused, even when full.
@@ -284,6 +283,20 @@ mod tests {
         // At cycle 100 both misses have completed; MSHRs are free again.
         assert!(f.admit(3, 100));
         assert_eq!(f.access(3, 100), 100);
+        assert_eq!(f.stats().busy, 1);
+    }
+
+    #[test]
+    fn admit_decides_without_allocating() {
+        let mut f = far(100, 1, 1);
+        assert!(f.admit(1, 0));
+        assert_eq!(f.inflight(), 0); // admission allocates nothing
+        assert_eq!(f.access(1, 0), 100);
+        assert!(!f.admit(2, 10)); // MSHR busy with line 1
+        assert_eq!(f.stats().busy, 1);
+        assert_eq!(f.inflight(), 1);
+        assert!(f.admit(1, 10)); // coalescible: admitted even when full
+        assert!(f.admit(2, 100)); // drained
         assert_eq!(f.stats().busy, 1);
     }
 
