@@ -61,7 +61,10 @@ impl CacheEntry {
     }
 
     fn checksum(&self) -> u64 {
-        fingerprint_text(&format!("{}\n{}\n{}", self.cycles, self.retired, self.stats_text))
+        fingerprint_text(&format!(
+            "{}\n{}\n{}",
+            self.cycles, self.retired, self.stats_text
+        ))
     }
 }
 
@@ -94,7 +97,9 @@ impl DiskCache {
     /// Propagates the directory-creation error.
     pub fn open(dir: &Path) -> io::Result<DiskCache> {
         std::fs::create_dir_all(dir)?;
-        Ok(DiskCache { dir: dir.to_path_buf() })
+        Ok(DiskCache {
+            dir: dir.to_path_buf(),
+        })
     }
 
     /// The on-disk path of `key`'s entry.
@@ -162,7 +167,11 @@ fn parse_entry(text: &str, key: CacheKey) -> Option<CacheEntry> {
     let retired: u64 = retired_line.strip_prefix("retired ")?.parse().ok()?;
     let (sum_line, payload) = rest.split_once('\n')?;
     let sum = u64::from_str_radix(sum_line.strip_prefix("sum ")?, 16).ok()?;
-    let entry = CacheEntry { cycles, retired, stats_text: payload.to_string() };
+    let entry = CacheEntry {
+        cycles,
+        retired,
+        stats_text: payload.to_string(),
+    };
     (entry.checksum() == sum).then_some(entry)
 }
 
@@ -172,7 +181,8 @@ mod tests {
     use aim_bench::cache_key_of_texts;
 
     fn temp_cache(tag: &str) -> DiskCache {
-        let dir = std::env::temp_dir().join(format!("aim_serve_cache_{tag}_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("aim_serve_cache_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         DiskCache::open(&dir).unwrap()
     }
@@ -193,7 +203,10 @@ mod tests {
         cache.store(key, &entry()).unwrap();
         assert_eq!(cache.load(key), Lookup::Hit(entry()));
         // A different key does not alias onto the stored entry.
-        assert_eq!(cache.load(cache_key_of_texts("prog2", "cfg", "v")), Lookup::Miss);
+        assert_eq!(
+            cache.load(cache_key_of_texts("prog2", "cfg", "v")),
+            Lookup::Miss
+        );
     }
 
     #[test]
@@ -204,7 +217,9 @@ mod tests {
         // Flipped payload byte.
         cache.store(key, &entry()).unwrap();
         let path = cache.entry_path(key);
-        let tampered = std::fs::read_to_string(&path).unwrap().replace("800", "801");
+        let tampered = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace("800", "801");
         std::fs::write(&path, tampered).unwrap();
         assert_eq!(cache.load(key), Lookup::Corrupt);
         assert!(!path.exists(), "corrupt entry must be evicted");
@@ -218,7 +233,9 @@ mod tests {
 
         // Header tampering (headline counters are covered by the checksum).
         cache.store(key, &entry()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap().replace("cycles 1000", "cycles 9999");
+        let text = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace("cycles 1000", "cycles 9999");
         std::fs::write(&path, text).unwrap();
         assert_eq!(cache.load(key), Lookup::Corrupt);
 

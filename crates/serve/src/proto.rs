@@ -109,7 +109,10 @@ impl JobResponse {
     /// malformed response.
     pub fn from_wire(msg: &WireMsg) -> Result<JobResponse, String> {
         if msg.bool_field("ok") != Some(true) {
-            return Err(msg.str_field("err").unwrap_or("malformed response").to_string());
+            return Err(msg
+                .str_field("err")
+                .unwrap_or("malformed response")
+                .to_string());
         }
         let field = |key: &str| {
             msg.str_field(key)
@@ -136,8 +139,12 @@ impl JobResponse {
         Ok(JobResponse {
             key: field("key")?.to_string(),
             source,
-            cycles: msg.u64_field("cycles").ok_or("response is missing `cycles`")?,
-            retired: msg.u64_field("retired").ok_or("response is missing `retired`")?,
+            cycles: msg
+                .u64_field("cycles")
+                .ok_or("response is missing `cycles`")?,
+            retired: msg
+                .u64_field("retired")
+                .ok_or("response is missing `retired`")?,
             fingerprint,
             stats_text: field("stats")?.to_string(),
             verify,

@@ -24,9 +24,10 @@
 
 use crate::cache::{CacheEntry, DiskCache, Lookup};
 use crate::proto::{error_reply, JobResponse, Source, VerifyOutcome};
-use aim_pipeline::JobSpec;
 use aim_bench::{canonical_config_text, program_text, CacheKey, KeyPrefix, Prepared};
+use aim_pipeline::JobSpec;
 use aim_types::wire::{read_frame, write_frame, WireMsg};
+use aim_workloads::Scale;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -35,7 +36,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
-use aim_workloads::Scale;
 
 /// Lifetime counters, all monotone.
 #[derive(Debug, Default)]
@@ -146,7 +146,12 @@ impl WorkPool {
                 })
             })
             .collect();
-        WorkPool { shared, handles, workers, started: Instant::now() }
+        WorkPool {
+            shared,
+            handles,
+            workers,
+            started: Instant::now(),
+        }
     }
 
     fn execute(&self, job: Job) {
@@ -300,7 +305,9 @@ impl Server {
         // interpreted once even under a racing cold matrix.
         let workload = aim_workloads::by_name(kernel, scale)
             .ok_or_else(|| format!("no such kernel `{kernel}` (see aim-workloads)"))?;
-        Ok(Arc::clone(cell.get_or_init(|| Arc::new(aim_bench::prepare(workload, scale)))))
+        Ok(Arc::clone(cell.get_or_init(|| {
+            Arc::new(aim_bench::prepare(workload, scale))
+        })))
     }
 
     /// Runs `spec`'s simulation on the worker pool and returns (and, when
@@ -354,8 +361,8 @@ impl Server {
     ) -> Result<JobResponse, String> {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let key = self.key_of(spec)?;
-        let respond = |entry: &CacheEntry, source: Source, outcome: Option<VerifyOutcome>| {
-            JobResponse {
+        let respond =
+            |entry: &CacheEntry, source: Source, outcome: Option<VerifyOutcome>| JobResponse {
                 key: key.hex(),
                 source,
                 cycles: entry.cycles,
@@ -363,8 +370,7 @@ impl Server {
                 fingerprint: entry.fingerprint(),
                 stats_text: entry.stats_text.clone(),
                 verify: outcome,
-            }
-        };
+            };
 
         if verify {
             // Recompute unconditionally and byte-compare against whatever
@@ -374,7 +380,9 @@ impl Server {
                 Lookup::Hit(entry) => Some(entry),
                 Lookup::Miss => None,
                 Lookup::Corrupt => {
-                    self.counters.corrupt_evictions.fetch_add(1, Ordering::Relaxed);
+                    self.counters
+                        .corrupt_evictions
+                        .fetch_add(1, Ordering::Relaxed);
                     None
                 }
             };
@@ -386,7 +394,9 @@ impl Server {
                     if old == fresh {
                         VerifyOutcome::Match
                     } else {
-                        self.counters.verify_mismatches.fetch_add(1, Ordering::Relaxed);
+                        self.counters
+                            .verify_mismatches
+                            .fetch_add(1, Ordering::Relaxed);
                         VerifyOutcome::Mismatch
                     }
                 }
@@ -405,7 +415,9 @@ impl Server {
                 return Ok(respond(&entry, Source::Cache, None));
             }
             Lookup::Corrupt => {
-                self.counters.corrupt_evictions.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .corrupt_evictions
+                    .fetch_add(1, Ordering::Relaxed);
             }
             Lookup::Miss => {}
         }
@@ -474,7 +486,10 @@ impl Server {
                 reply.put_bool("ok", true);
                 (reply, true)
             }
-            Some(other) => (error_reply(&format!("unknown op `{other}` (sim|stats|shutdown)")), false),
+            Some(other) => (
+                error_reply(&format!("unknown op `{other}` (sim|stats|shutdown)")),
+                false,
+            ),
             None => (error_reply("request is missing the `op` field"), false),
         }
     }

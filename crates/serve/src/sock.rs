@@ -20,7 +20,10 @@ use std::sync::Arc;
 pub fn request_over<S: Read + Write>(stream: &mut S, msg: &WireMsg) -> io::Result<WireMsg> {
     write_frame(stream, msg.to_json().as_bytes())?;
     let frame = read_frame(stream)?.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::UnexpectedEof, "server hung up before replying")
+        io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "server hung up before replying",
+        )
     })?;
     let text = std::str::from_utf8(&frame)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "reply is not UTF-8"))?;
@@ -103,7 +106,9 @@ pub fn serve_unix(server: &Arc<Server>, path: &std::path::Path) -> io::Result<()
 #[cfg(unix)]
 pub fn submit_unix(path: &std::path::Path, msgs: &[WireMsg]) -> io::Result<Vec<WireMsg>> {
     let mut stream = std::os::unix::net::UnixStream::connect(path)?;
-    msgs.iter().map(|msg| request_over(&mut stream, msg)).collect()
+    msgs.iter()
+        .map(|msg| request_over(&mut stream, msg))
+        .collect()
 }
 
 #[cfg(all(test, unix))]
@@ -136,12 +141,11 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
 
-        let spec = ConfigSpec::new(MachineClass::Baseline, BackendChoice::NoSpec)
-            .job("gzip", Scale::Tiny);
+        let spec =
+            ConfigSpec::new(MachineClass::Baseline, BackendChoice::NoSpec).job("gzip", Scale::Tiny);
         let mut shutdown = WireMsg::new();
         shutdown.put_str("op", "shutdown");
-        let replies =
-            submit_unix(&sock, &[spec.to_wire(false, false), shutdown]).unwrap();
+        let replies = submit_unix(&sock, &[spec.to_wire(false, false), shutdown]).unwrap();
         let resp = JobResponse::from_wire(&replies[0]).unwrap();
         assert_eq!(resp.source, Source::Sim);
         assert!(resp.cycles > 0);

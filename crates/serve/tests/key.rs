@@ -106,11 +106,13 @@ fn build_reordered(spec: &ConfigSpec) -> SimConfig {
     }
     if spec.pcax.is_some() || spec.pcax_act.is_some() {
         let baseline = PcaxConfig::baseline();
-        let table = spec.pcax.map_or(baseline.table, |(sets, ways)| TableGeometry {
-            sets,
-            ways,
-            ..baseline.table
-        });
+        let table = spec
+            .pcax
+            .map_or(baseline.table, |(sets, ways)| TableGeometry {
+                sets,
+                ways,
+                ..baseline.table
+            });
         b = b.pcax(PcaxConfig {
             table,
             no_alias_act: spec.pcax_act.unwrap_or(baseline.no_alias_act),
@@ -144,16 +146,20 @@ fn build_default_filled(spec: &ConfigSpec) -> SimConfig {
     });
     let pcax_baseline = PcaxConfig::baseline();
     let pcax = PcaxConfig {
-        table: spec.pcax.map_or(pcax_baseline.table, |(sets, ways)| TableGeometry {
-            sets,
-            ways,
-            ..pcax_baseline.table
-        }),
+        table: spec
+            .pcax
+            .map_or(pcax_baseline.table, |(sets, ways)| TableGeometry {
+                sets,
+                ways,
+                ..pcax_baseline.table
+            }),
         no_alias_act: spec.pcax_act.unwrap_or(pcax_baseline.no_alias_act),
         ..pcax_baseline
     };
     let filt_baseline = FilterConfig::baseline();
-    let (sets, ways) = spec.filt.unwrap_or((filt_baseline.sets, filt_baseline.ways));
+    let (sets, ways) = spec
+        .filt
+        .unwrap_or((filt_baseline.sets, filt_baseline.ways));
     let filter = FilterConfig {
         sets,
         ways,
@@ -161,7 +167,9 @@ fn build_default_filled(spec: &ConfigSpec) -> SimConfig {
     };
     // Spelling the default memory hierarchy out explicitly must be
     // key-identical to leaving `mem` off entirely.
-    let mem = spec.far.map_or(MemSpec::figure4(), |far| MemSpec::figure4().with_far(far));
+    let mem = spec
+        .far
+        .map_or(MemSpec::figure4(), |far| MemSpec::figure4().with_far(far));
     let mut b = SimConfig::machine(spec.machine)
         .backend(spec.backend)
         .mode(mode)
@@ -247,7 +255,12 @@ fn check_key_case(seed: u64) -> Result<(), TestCaseError> {
     // Check invariance.
     let mut noisy = cfg.clone();
     noisy.paranoid = (seed >> 10) & 1 == 0;
-    prop_assert_eq!(key, key_of(&noisy), "the paranoid knob fed the key for {:?}", spec);
+    prop_assert_eq!(
+        key,
+        key_of(&noisy),
+        "the paranoid knob fed the key for {:?}",
+        spec
+    );
 
     // Architectural sensitivity.
     let mut flipped = cfg.clone();

@@ -32,8 +32,10 @@ fn racing_duplicates_simulate_each_unique_job_once() {
     const THREADS: usize = 4;
     let dir = temp_dir("single_flight");
     let server = Arc::new(Server::new(&dir, 4).unwrap());
-    let specs: Vec<JobSpec> =
-        ["gzip", "mcf", "vpr_place", "twolf"].iter().map(|k| spec(0, k)).collect();
+    let specs: Vec<JobSpec> = ["gzip", "mcf", "vpr_place", "twolf"]
+        .iter()
+        .map(|k| spec(0, k))
+        .collect();
     let barrier = Arc::new(Barrier::new(THREADS * specs.len()));
 
     let handles: Vec<_> = (0..THREADS)
@@ -59,16 +61,26 @@ fn racing_duplicates_simulate_each_unique_job_once() {
             .map(|r| &r.stats_text)
             .collect();
         assert_eq!(texts.len(), THREADS);
-        assert!(texts.windows(2).all(|w| w[0] == w[1]), "racing answers diverged for {key}");
+        assert!(
+            texts.windows(2).all(|w| w[0] == w[1]),
+            "racing answers diverged for {key}"
+        );
     }
 
     let c = server.counters();
-    assert_eq!(c.sims_run as usize, specs.len(), "a duplicate request re-simulated");
+    assert_eq!(
+        c.sims_run as usize,
+        specs.len(),
+        "a duplicate request re-simulated"
+    );
     assert_eq!(c.requests as usize, THREADS * specs.len());
     // Every request either hit the cache or missed; a missing request
     // either led the simulation or parked as a dedup waiter, so the
     // waiter count is exactly the misses beyond the four leaders.
-    assert_eq!((c.cache_hits + c.cache_misses) as usize, THREADS * specs.len());
+    assert_eq!(
+        (c.cache_hits + c.cache_misses) as usize,
+        THREADS * specs.len()
+    );
     assert_eq!(c.dedup_waits, c.cache_misses - specs.len() as u64);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -94,14 +106,24 @@ fn corrupt_entries_are_evicted_and_recomputed() {
     std::fs::write(&path, tampered).unwrap();
 
     let recovered = server.submit(&job, false, false).unwrap();
-    assert_eq!(recovered.source, Source::Sim, "corrupt entry must force recomputation");
-    assert_eq!(recovered.stats_text, cold.stats_text, "recovery changed the answer");
+    assert_eq!(
+        recovered.source,
+        Source::Sim,
+        "corrupt entry must force recomputation"
+    );
+    assert_eq!(
+        recovered.stats_text, cold.stats_text,
+        "recovery changed the answer"
+    );
     let c = server.counters();
     assert_eq!(c.corrupt_evictions, 1);
     assert_eq!(c.sims_run, 2);
 
     // The repaired entry serves warm again.
-    assert_eq!(server.submit(&job, false, false).unwrap().source, Source::Cache);
+    assert_eq!(
+        server.submit(&job, false, false).unwrap().source,
+        Source::Cache
+    );
 
     // Truncation is caught the same way.
     let text = std::fs::read_to_string(&path).unwrap();
@@ -141,16 +163,29 @@ fn verify_flags_and_repairs_a_forged_entry() {
     // …verify catches and repairs it.
     let verified = server.submit(&job, true, false).unwrap();
     assert_eq!(verified.verify, Some(VerifyOutcome::Mismatch));
-    assert_eq!(verified.stats_text, honest.stats_text, "verify must answer with fresh bytes");
+    assert_eq!(
+        verified.stats_text, honest.stats_text,
+        "verify must answer with fresh bytes"
+    );
     let c = server.counters();
     assert_eq!(c.verify_mismatches, 1);
     assert_eq!(c.verified, 1);
 
     // Repaired: warm again, and a second verify now matches.
     let warm = server.submit(&job, false, false).unwrap();
-    assert_eq!((warm.source, warm.stats_text.as_str()), (Source::Cache, honest.stats_text.as_str()));
-    assert_eq!(server.submit(&job, true, false).unwrap().verify, Some(VerifyOutcome::Match));
-    assert_eq!(server.counters().verify_mismatches, 1, "a repaired entry must verify clean");
+    assert_eq!(
+        (warm.source, warm.stats_text.as_str()),
+        (Source::Cache, honest.stats_text.as_str())
+    );
+    assert_eq!(
+        server.submit(&job, true, false).unwrap().verify,
+        Some(VerifyOutcome::Match)
+    );
+    assert_eq!(
+        server.counters().verify_mismatches,
+        1,
+        "a repaired entry must verify clean"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -177,7 +212,10 @@ fn wire_errors_are_actionable_and_non_fatal() {
     let reply = run(&bad.to_wire(false, false));
     assert_eq!(reply.bool_field("ok"), Some(false));
     let err = reply.str_field("err").unwrap();
-    assert!(err.contains("no-such-kernel"), "error does not name the kernel: {err}");
+    assert!(
+        err.contains("no-such-kernel"),
+        "error does not name the kernel: {err}"
+    );
 
     // Unknown op.
     let mut msg = WireMsg::new();
