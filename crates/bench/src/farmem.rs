@@ -1,15 +1,13 @@
-//! The `table_far_mem` machine-readable report (`BENCH_farmem.json`).
+//! The `farmem` artifact's machine-readable report (`BENCH_farmem.json`).
 //!
-//! `table_far_mem` sweeps window size × far-memory latency per backend:
+//! `aim-bench farmem` sweeps window size × far-memory latency per backend:
 //! both kilo-entry-window machine classes run behind the high-latency far
-//! tier, and each cell places the 256×256 LSQ, the SFC/MDT, and PCAX
-//! inside the no-spec → oracle bracket. This module renders that sweep in
-//! a stable JSON schema (`aim-farmem-report/v1`) so the acceptance checks
-//! (every backend inside the bracket; the LSQ's gap-closed collapsing
-//! below the address-indexed backends as the window grows) can be
-//! asserted by scripts, not eyeballs. The top-level serve counters record
-//! that the matrix was routed through the shared `aim-serve` cache and
-//! that a warm replay of the same cells ran zero simulations.
+//! tier, and each cell places the 120×80 and 256×256 LSQs, the SFC/MDT,
+//! and PCAX inside the no-spec → oracle bracket. This module renders that
+//! sweep in a stable JSON schema (`aim-farmem-report/v2`) so the
+//! acceptance checks (every backend inside the bracket; the buildable
+//! CAM's retention collapsing below the address-indexed backends as the
+//! window grows) can be asserted by scripts, not eyeballs.
 //!
 //! It renders through the shared [`Report`] writer;
 //! `tests/golden/farmem.golden.json` pins its layout.
@@ -60,38 +58,29 @@ pub struct FarMemRow {
     pub far_peak_inflight: u64,
 }
 
-/// The full far-memory sweep: serve-cache routing counters plus one row
-/// per (workload × machine × latency) cell.
+/// The full far-memory sweep: one row per (workload × machine × latency)
+/// cell.
 #[derive(Debug, Clone)]
 pub struct FarMemReport {
-    /// The producing binary (`table_far_mem`).
+    /// The sweep's report name (`table_far_mem`).
     pub artifact: String,
     /// Workload scale the matrix ran at.
     pub scale: Scale,
-    /// Simulation worker threads of the serving pool.
+    /// Worker threads the matrix ran on.
     pub workers: usize,
-    /// Simulations the cold round ran (one per unique cell).
-    pub cold_sims: u64,
-    /// Cache hits the warm replay round was answered from.
-    pub warm_hits: u64,
-    /// Simulations the warm replay round ran (zero when the cache held).
-    pub warm_sims: u64,
-    /// Per-cell rows, workload-major then machine/latency.
+    /// Per-cell rows, machine/latency-major then workload.
     pub rows: Vec<FarMemRow>,
 }
 
 impl Report for FarMemReport {
-    const SCHEMA: &'static str = "aim-farmem-report/v1";
+    const SCHEMA: &'static str = "aim-farmem-report/v2";
     const FILE: &'static str = "BENCH_farmem.json";
     type Row = FarMemRow;
 
     fn header(&self, h: &mut WireMsg) {
         h.put_str("artifact", &self.artifact)
             .put_str("scale", self.scale.token())
-            .put_u64("workers", self.workers as u64)
-            .put_u64("cold_sims", self.cold_sims)
-            .put_u64("warm_hits", self.warm_hits)
-            .put_u64("warm_sims", self.warm_sims);
+            .put_u64("workers", self.workers as u64);
     }
 
     fn rows(&self) -> &[FarMemRow] {
@@ -130,9 +119,6 @@ mod tests {
             artifact: "table_far_mem".to_string(),
             scale: Scale::Tiny,
             workers: 4,
-            cold_sims: 320,
-            warm_hits: 320,
-            warm_sims: 0,
             rows: vec![FarMemRow {
                 workload: "gzip".to_string(),
                 suite: "int".to_string(),
@@ -155,9 +141,8 @@ mod tests {
             }],
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aim-farmem-report/v1\""));
+        assert!(json.contains("\"schema\": \"aim-farmem-report/v2\""));
         assert!(json.contains("\"window\": 4096"));
-        assert!(json.contains("\"warm_sims\": 0"));
         assert!(json.contains("\"far_peak_inflight\": 64"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

@@ -341,7 +341,7 @@ mod tests {
 
     fn grid_flag(words: &[&str]) -> Result<bool, String> {
         let args: Vec<String> = words.iter().map(|s| s.to_string()).collect();
-        crate::Options::parse(&args, crate::FLAGS, 0).map(|(opts, _)| opts.grid_tiny)
+        crate::Options::parse(&args).map(|(opts, _)| opts.grid_tiny)
     }
 
     #[test]

@@ -7,12 +7,9 @@
 //! (a [`specs`] entry), a reduce step from the finished [`Matrix`] to the
 //! rows it prints and writes, and an acceptance predicate. The matrix
 //! runs through [`run_matrix`], which fans independent simulations across
-//! OS threads with deterministic result ordering.
-//!
-//! Two more programs live in `aim-serve` because they route their cells
-//! through the job server's cache: `table_far_mem` (far-memory latency ×
-//! window-size sweep) and `table_sampled` (sampled vs full-detail
-//! convergence). They parse the same [`Options`].
+//! OS threads with deterministic result ordering. The far-memory sweep
+//! (`farmem`) is one of those matrices; the sampled-convergence gate
+//! (`sampled`) and `litmus` bring their own run steps.
 //!
 //! Shared flags ([`FLAGS`]): `--scale tiny|small|full|huge` (default
 //! `full`), `--jobs N` (worker threads for the sweep; `0`/absent defers to
@@ -61,7 +58,9 @@ pub use litmus::{LitmusReport, LitmusRow};
 pub use matrix::{run_matrix, run_matrix_timed, Matrix};
 pub use pcax::{PcaxReport, PcaxRow};
 pub use report::{render_report, Report, ReportFile};
-pub use sampled::{SampledReport, SampledRow};
+pub use sampled::{
+    sampled_policy, SampledReport, SampledRow, SAMPLE_DETAIL_DIVISOR, SAMPLE_PERIODS,
+};
 pub use serve_report::{ServeReport, ServeRound};
 pub use sweep::{SweepReport, SweepRow};
 
@@ -140,8 +139,7 @@ pub fn run_multi_n1(p: &Prepared, cfg: &SimConfig) -> SimStats {
     stats.per_core.into_iter().next().expect("one core ran")
 }
 
-/// Every flag the experiment programs share. `aim-bench` takes them all;
-/// a program that takes fewer passes its own list to [`Options::parse`].
+/// Every flag `aim-bench` takes.
 pub const FLAGS: &[&str] = &[
     "--scale",
     "--jobs",
@@ -186,38 +184,31 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Parses an argument list (program name excluded) that may carry the
-    /// flags in `accepted` and up to `positional` bare arguments, which
-    /// are returned in order. `--check` is a switch; every other flag
-    /// takes the next argument as its value.
+    /// Parses an argument list (program name excluded): the [`FLAGS`] and
+    /// at most one bare argument, the artifact name, returned beside the
+    /// options. `--check` is a switch; every other flag takes the next
+    /// argument as its value.
     ///
     /// # Errors
     ///
     /// Returns a one-line message for an unknown flag (`--scale=tiny`
-    /// included), a stray argument, a flag without its value, or a
+    /// included), a second bare argument, a flag without its value, or a
     /// malformed value.
-    pub fn parse(
-        args: &[String],
-        accepted: &[&str],
-        positional: usize,
-    ) -> Result<(Options, Vec<String>), String> {
+    pub fn parse(args: &[String]) -> Result<(Options, Option<String>), String> {
         let mut opts = Options::default();
-        let mut bare = Vec::new();
+        let mut bare = None;
         let mut args = args.iter();
         while let Some(arg) = args.next() {
             let flag = arg.as_str();
             if !flag.starts_with('-') {
-                if bare.len() == positional {
+                if bare.is_some() {
                     return Err(format!("unexpected argument `{arg}`"));
                 }
-                bare.push(arg.clone());
+                bare = Some(arg.clone());
                 continue;
             }
-            if !accepted.contains(&flag) {
-                return Err(format!(
-                    "unknown flag `{arg}` (flags: {})",
-                    accepted.join(" ")
-                ));
+            if !FLAGS.contains(&flag) {
+                return Err(format!("unknown flag `{arg}` (flags: {})", FLAGS.join(" ")));
             }
             if flag == "--check" {
                 opts.check = true;
@@ -342,24 +333,19 @@ mod tests {
         words.iter().map(|s| s.to_string()).collect()
     }
 
-    /// The driver's parse: every flag, one bare argument.
     fn parse(words: &[&str]) -> Result<Options, String> {
-        Options::parse(&argv(words), FLAGS, 1).map(|(opts, _)| opts)
+        Options::parse(&argv(words)).map(|(opts, _)| opts)
     }
 
     #[test]
     fn scale_and_flags_parse_from_plain_args() {
         assert_eq!(parse(&[]), Ok(Options::default()));
         assert_eq!(Options::default().scale, Scale::Full);
-        let (opts, bare) = Options::parse(
-            &argv(&[
-                "pcax", "--scale", "tiny", "--csv", "x.csv", "--check", "--grid", "tiny",
-            ]),
-            FLAGS,
-            1,
-        )
+        let (opts, bare) = Options::parse(&argv(&[
+            "pcax", "--scale", "tiny", "--csv", "x.csv", "--check", "--grid", "tiny",
+        ]))
         .unwrap();
-        assert_eq!(bare, ["pcax"]);
+        assert_eq!(bare.as_deref(), Some("pcax"));
         assert_eq!(
             opts,
             Options {
@@ -384,12 +370,6 @@ mod tests {
             assert!(err.contains(want), "{words:?}: {err}");
             assert!(!err.contains('\n'), "error must be one line: {err:?}");
         }
-        // A program taking fewer flags refuses the rest.
-        let err =
-            Options::parse(&argv(&["--check"]), &["--scale", "--jobs", "--csv"], 0).unwrap_err();
-        assert!(err.contains("unknown flag `--check`"), "{err}");
-        let err = Options::parse(&argv(&["tiny"]), &["--scale"], 0).unwrap_err();
-        assert!(err.contains("unexpected argument `tiny`"), "{err}");
     }
 
     #[test]

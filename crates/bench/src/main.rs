@@ -3,20 +3,19 @@
 //! of the paper's evaluation; `aim-bench list` names them all (see
 //! `aim_bench::artifact`).
 
-use aim_bench::{artifact, or_exit, Options, FLAGS};
+use aim_bench::{artifact, or_exit, Options};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, bare) = or_exit(Options::parse(&args, FLAGS, 1));
+    let (opts, name) = or_exit(Options::parse(&args));
     let name = or_exit(
-        bare.first()
-            .ok_or_else(|| "expects an artifact name or `list` (e.g. aim-bench list)".to_string()),
+        name.ok_or_else(|| "expects an artifact name or `list` (e.g. aim-bench list)".to_string()),
     );
     if name == "list" {
         print!("{}", artifact::list());
         return;
     }
-    let artifact = or_exit(artifact::find(name));
+    let artifact = or_exit(artifact::find(&name));
     let out = artifact::execute(&artifact, &opts);
     std::process::exit(artifact::emit(&artifact, &opts, &out));
 }

@@ -1,24 +1,53 @@
-//! The `table_sampled` machine-readable report (`BENCH_sampled.json`).
+//! The `sampled` artifact's tuned policy and its machine-readable report
+//! (`BENCH_sampled.json`).
 //!
-//! `table_sampled` is the differential convergence gate for sampled
+//! `aim-bench sampled` is the differential convergence gate for sampled
 //! simulation: every committed kernel runs the huge/far-memory
 //! configuration twice — full detail and under the tuned tiled sampling
-//! policy — and the report records, per kernel, the extrapolated IPC
-//! against the full-detail truth, the detail coverage the policy bought
-//! the error with, and the measured wall-clock of both runs. This module
-//! renders that sweep in a stable JSON schema (`aim-sampled-report/v1`)
-//! so the acceptance checks (every kernel inside the convergence
-//! tolerance; the sampled sweep ≥10× faster wall-clock at `Scale::Huge`)
-//! can be asserted by scripts, not eyeballs. The top-level serve counters
-//! record that full and sampled cells are distinct content-addressed
-//! cache entries and that a warm replay ran zero simulations.
+//! policy ([`sampled_policy`]) — and the report records, per kernel, the
+//! extrapolated IPC against the full-detail truth, the detail coverage the
+//! policy bought the error with, and the measured wall-clock of both runs.
+//! This module renders that sweep in a stable JSON schema
+//! (`aim-sampled-report/v2`) so the acceptance checks (every kernel inside
+//! the convergence tolerance; the sampled sweep ≥10× faster wall-clock at
+//! `Scale::Huge`) can be asserted by scripts, not eyeballs.
 //!
 //! It renders through the shared [`Report`] writer;
 //! `tests/golden/sampled.golden.json` pins its layout.
 
 use crate::Report;
 use aim_types::wire::WireMsg;
+use aim_types::SampleSpec;
 use aim_workloads::Scale;
+
+/// Detailed windows the tuned policy spreads across the trace. Prime, so
+/// the stratified schedule cannot phase-lock onto power-of-two loop
+/// structure.
+pub const SAMPLE_PERIODS: u32 = 11;
+
+/// Detail share of each period: one instruction simulated cycle-accurately
+/// per `SAMPLE_DETAIL_DIVISOR` fast-forwarded.
+pub const SAMPLE_DETAIL_DIVISOR: u64 = 32;
+
+/// The tuned sampled-simulation policy for a kernel whose architectural
+/// trace retires `trace_len` instructions: [`SAMPLE_PERIODS`] periods
+/// tiling the whole trace, each spending 1/[`SAMPLE_DETAIL_DIVISOR`] of
+/// its span in the detailed machine. Tiling the *measured* length (rather
+/// than the scale's nominal target) keeps long-tailed kernels from
+/// extrapolating their final millions of instructions from a schedule
+/// that ended early. On the huge/far-memory configuration this policy
+/// holds every committed kernel within ±7% of full-detail IPC (see
+/// `EXPERIMENTS.md` T-SAMPLE). Its wall-clock speedup falls short of the
+/// 10× floor: `aim-bench sampled --scale huge --jobs 1` measured 4.8×
+/// (24.0 s full detail, 5.0 s sampled) on a shared 2-vCPU Intel Xeon,
+/// because the warm engine, not the detailed machine, dominates a sampled
+/// run (ROADMAP item 2).
+pub fn sampled_policy(trace_len: u64) -> SampleSpec {
+    let period = (trace_len / u64::from(SAMPLE_PERIODS)).max(8);
+    let detail = (period / SAMPLE_DETAIL_DIVISOR).max(4);
+    SampleSpec::new(period - detail, detail, SAMPLE_PERIODS)
+        .expect("tiled policy has nonzero phases")
+}
 
 /// One kernel of the sampled-convergence sweep: the full-detail truth,
 /// the sampled estimate, and the cost of each.
@@ -55,24 +84,16 @@ pub struct SampledRow {
     pub speedup: f64,
 }
 
-/// The full sampled-convergence sweep: serve-cache routing counters, the
-/// shared machine configuration, the aggregate acceptance numbers, and one
-/// row per kernel.
+/// The full sampled-convergence sweep: the shared machine configuration,
+/// the aggregate acceptance numbers, and one row per kernel.
 #[derive(Debug, Clone)]
 pub struct SampledReport {
-    /// The producing binary (`table_sampled`).
+    /// The study's report name (`table_sampled`).
     pub artifact: String,
     /// Workload scale the sweep ran at.
     pub scale: Scale,
-    /// Simulation worker threads of the serving pool.
+    /// The driver's `--jobs` count, resolved.
     pub workers: usize,
-    /// Simulations the cold round ran (one per unique cell; full and
-    /// sampled cells are distinct).
-    pub cold_sims: u64,
-    /// Cache hits the warm replay round was answered from.
-    pub warm_hits: u64,
-    /// Simulations the warm replay round ran (zero when the cache held).
-    pub warm_sims: u64,
     /// Machine-class tag of the shared configuration (`huge`).
     pub machine: String,
     /// ROB entries of that machine class.
@@ -89,7 +110,7 @@ pub struct SampledReport {
 }
 
 impl Report for SampledReport {
-    const SCHEMA: &'static str = "aim-sampled-report/v1";
+    const SCHEMA: &'static str = "aim-sampled-report/v2";
     const FILE: &'static str = "BENCH_sampled.json";
     type Row = SampledRow;
 
@@ -97,9 +118,6 @@ impl Report for SampledReport {
         h.put_str("artifact", &self.artifact)
             .put_str("scale", self.scale.token())
             .put_u64("workers", self.workers as u64)
-            .put_u64("cold_sims", self.cold_sims)
-            .put_u64("warm_hits", self.warm_hits)
-            .put_u64("warm_sims", self.warm_sims)
             .put_str("machine", &self.machine)
             .put_u64("window", self.window)
             .put_u64("far_latency", self.far_latency)
@@ -134,14 +152,33 @@ mod tests {
     use super::*;
 
     #[test]
+    fn policy_tiles_the_trace_with_sparse_detail() {
+        for len in [9u64, 1_000, 123_457, 2_000_000, 5_455_377] {
+            let spec = sampled_policy(len);
+            assert_eq!(spec.periods, SAMPLE_PERIODS);
+            // The schedule spans the whole trace (within one period of
+            // rounding), so no long tail is left to one-sided
+            // extrapolation.
+            let span = spec.period_insts() * u64::from(spec.periods);
+            assert!(span <= len.max(8 * u64::from(SAMPLE_PERIODS)));
+            assert!(span + spec.period_insts() * u64::from(SAMPLE_PERIODS) >= len);
+            // Detail stays a sparse slice of each period.
+            assert!(spec.detail_insts >= 4);
+            assert!(
+                spec.detail_insts <= (spec.period_insts() / SAMPLE_DETAIL_DIVISOR).max(4),
+                "detail {} of period {} at len {len}",
+                spec.detail_insts,
+                spec.period_insts()
+            );
+        }
+    }
+
+    #[test]
     fn sampled_json_renders_schema_and_balances() {
         let report = SampledReport {
             artifact: "table_sampled".to_string(),
             scale: Scale::Huge,
             workers: 8,
-            cold_sims: 40,
-            warm_hits: 40,
-            warm_sims: 0,
             machine: "huge".to_string(),
             window: 4096,
             far_latency: 800,
@@ -165,9 +202,8 @@ mod tests {
             }],
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aim-sampled-report/v1\""));
+        assert!(json.contains("\"schema\": \"aim-sampled-report/v2\""));
         assert!(json.contains("\"window\": 4096"));
-        assert!(json.contains("\"warm_sims\": 0"));
         assert!(json.contains("\"periods_run\": 11"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

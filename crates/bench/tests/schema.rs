@@ -261,9 +261,6 @@ fn golden_farmem() -> FarMemReport {
         artifact: "table_far_mem".to_string(),
         scale: Scale::Tiny,
         workers: 4,
-        cold_sims: 456,
-        warm_hits: 456,
-        warm_sims: 0,
         rows: vec![
             FarMemRow {
                 workload: "gzip".to_string(),
@@ -315,9 +312,6 @@ fn golden_sampled() -> SampledReport {
         artifact: "table_sampled".to_string(),
         scale: Scale::Huge,
         workers: 8,
-        cold_sims: 40,
-        warm_hits: 40,
-        warm_sims: 0,
         machine: "huge".to_string(),
         window: 4096,
         far_latency: 800,
@@ -573,16 +567,7 @@ fn cases() -> [Case; 10] {
             json: golden_farmem().to_json(),
             golden: include_str!("golden/farmem.golden.json"),
             file: "farmem",
-            header: &[
-                "schema",
-                "artifact",
-                "scale",
-                "workers",
-                "cold_sims",
-                "warm_hits",
-                "warm_sims",
-                "rows",
-            ],
+            header: &["schema", "artifact", "scale", "workers", "rows"],
             row: &[
                 "workload",
                 "suite",
@@ -615,9 +600,6 @@ fn cases() -> [Case; 10] {
                 "artifact",
                 "scale",
                 "workers",
-                "cold_sims",
-                "warm_hits",
-                "warm_sims",
                 "machine",
                 "window",
                 "far_latency",

@@ -19,11 +19,14 @@ AIM_PACKAGES=(
   aim-examples
 )
 
-# aim-bench and aim-mem are held to rustfmt (the rest of the tree is not yet).
+# aim-bench, aim-mem and aim-serve are held to rustfmt (the rest of the
+# tree is not yet).
 echo "== tier1: cargo fmt --check -p aim-bench =="
 cargo fmt --check -p aim-bench
 echo "== tier1: cargo fmt --check -p aim-mem =="
 cargo fmt --check -p aim-mem
+echo "== tier1: cargo fmt --check -p aim-serve =="
+cargo fmt --check -p aim-serve
 
 echo "== tier1: cargo build --release =="
 cargo build --release
@@ -135,46 +138,45 @@ AIM_SERVE_JSON="$(mktemp)" \
     serve --replay --scale tiny --rounds 2 --cache "$(mktemp -d)" \
   | grep -q 'serve: cache-consistent'
 
-# The far-memory gate: the kilo-entry-window × far-latency matrix routes
-# through a shared local server, asserts every backend inside the
-# no-spec..oracle bracket, and replays itself warm (zero simulations,
-# byte-identical) before printing its acceptance line.
-echo "== tier1: table_far_mem acceptance (tiny scale, served matrix) =="
-FARMEM_CACHE="$(mktemp -d)"
-AIM_FARMEM_JSON="$(mktemp)" AIM_SERVE_CACHE="$FARMEM_CACHE" \
-  cargo run --release -q -p aim-serve --bin table_far_mem -- --scale tiny \
+# The far-memory gate: the kilo-entry-window × far-latency matrix asserts
+# every backend inside the no-spec..oracle bracket before printing its
+# acceptance line. (Warm-replay byte identity of the far-tier and sampled
+# cells is the serve crate's own test: crates/serve/tests/cache.rs.)
+echo "== tier1: aim-bench farmem acceptance (tiny scale) =="
+AIM_FARMEM_JSON="$(mktemp)" AIM_SWEEP_JSON="$(mktemp)" \
+  cargo run --release -q -p aim-bench -- farmem --scale tiny \
   | grep -q 'acceptance: every backend inside the no-spec..oracle bracket'
 
-# The sampled-simulation gate: every kernel's full-detail and sampled
-# cells route through a shared local server as distinct content-addressed
-# entries (sampling is default-off, so the full cells' fingerprints are
-# the same bytes every unsampled client sees — the hostperf --check gate
-# above pins that), the warm replay must answer byte-identically with
-# zero simulations, and in-process reruns must reproduce the served cycle
-# counts exactly. Convergence tolerance and the >=10x wall-clock floor
-# are huge-scale claims, asserted when this binary runs at --scale huge
-# (the committed BENCH_sampled.json is that run).
-echo "== tier1: table_sampled differential gate (tiny scale, served matrix) =="
-AIM_SAMPLED_JSON="$(mktemp)" AIM_SERVE_CACHE="$(mktemp -d)" \
-  cargo run --release -q -p aim-serve --bin table_sampled -- --scale tiny \
+# The sampled-simulation gate: every kernel runs full detail and under the
+# tuned tiled policy (sampling is default-off, so the full cells are the
+# unsampled machine the hostperf --check gate above pins), and every
+# sampled run must complete its schedule. Convergence tolerance and the
+# >=10x wall-clock floor are huge-scale claims, asserted when the artifact
+# runs at --scale huge (the committed BENCH_sampled.json is that run).
+echo "== tier1: aim-bench sampled differential gate (tiny scale) =="
+AIM_SAMPLED_JSON="$(mktemp)" AIM_SWEEP_JSON="$(mktemp)" \
+  cargo run --release -q -p aim-bench -- sampled --scale tiny \
   | grep -q 'acceptance: worst sampled-vs-detail error'
 
-# Cross-bin warm reuse: a fresh server process over the same cache
-# directory must answer a CLI submission naming one of the matrix cells
-# (huge machine, far tier) from cache, not by simulating.
-echo "== tier1: cross-bin warm reuse via aim-sim submit =="
-FARMEM_SOCK="$(mktemp -u)"
-cargo run --release -q -p aim-cli --bin aim-sim -- \
-  serve --socket "$FARMEM_SOCK" --cache "$FARMEM_CACHE" &
-FARMEM_SERVE_PID=$!
-for _ in $(seq 1 100); do [ -S "$FARMEM_SOCK" ] && break; sleep 0.1; done
-cargo run --release -q -p aim-cli --bin aim-sim -- \
-  submit swim --socket "$FARMEM_SOCK" --machine huge --backend sfc-mdt \
-  --far 800x64x8 --scale tiny \
-  | grep -q '\[cache\]'
-cargo run --release -q -p aim-cli --bin aim-sim -- \
-  submit --shutdown --socket "$FARMEM_SOCK" >/dev/null
-wait "$FARMEM_SERVE_PID"
+# Cross-process warm reuse: a server process simulates one far-tier cell
+# (huge machine, far tier) submitted through the CLI, and a fresh server
+# process over the same cache directory must answer it from cache.
+echo "== tier1: cross-process warm reuse via aim-sim submit =="
+FARMEM_CACHE="$(mktemp -d)"
+for want in '\[sim\]' '\[cache\]'; do
+  FARMEM_SOCK="$(mktemp -u)"
+  cargo run --release -q -p aim-cli --bin aim-sim -- \
+    serve --socket "$FARMEM_SOCK" --cache "$FARMEM_CACHE" &
+  FARMEM_SERVE_PID=$!
+  for _ in $(seq 1 100); do [ -S "$FARMEM_SOCK" ] && break; sleep 0.1; done
+  cargo run --release -q -p aim-cli --bin aim-sim -- \
+    submit swim --socket "$FARMEM_SOCK" --machine huge --backend sfc-mdt \
+    --far 800x64x8 --scale tiny \
+    | grep -q "$want"
+  cargo run --release -q -p aim-cli --bin aim-sim -- \
+    submit --shutdown --socket "$FARMEM_SOCK" >/dev/null
+  wait "$FARMEM_SERVE_PID"
+done
 
 # The CLI-surface gate: every command names a machine through the one
 # ConfigSpec surface. `run` must take the huge class's own 256x256 LSQ
