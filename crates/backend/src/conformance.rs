@@ -299,7 +299,13 @@ impl<'a> Driver<'a> {
             pos[i] = p;
         }
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| if self.requeued[i] { (0, i) } else { (1, pos[i]) });
+        order.sort_by_key(|&i| {
+            if self.requeued[i] {
+                (0, i)
+            } else {
+                (1, pos[i])
+            }
+        });
         order
     }
 
@@ -408,8 +414,7 @@ impl<'a> Driver<'a> {
                 continue;
             }
             let op = self.script.ops[i];
-            let bypass =
-                self.backend.supports_head_bypass() && self.replayed[i] && head == Some(i);
+            let bypass = self.backend.supports_head_bypass() && self.replayed[i] && head == Some(i);
             match op.kind {
                 MemKind::Load => {
                     if bypass {
@@ -676,8 +681,7 @@ impl<'a> Driver<'a> {
             let mut retries = 0u32;
             let value = loop {
                 let floor = lag.front().map_or(seq, |&(_, q, _)| q);
-                let bypass =
-                    retries > 0 && lag.is_empty() && self.backend.supports_head_bypass();
+                let bypass = retries > 0 && lag.is_empty() && self.backend.supports_head_bypass();
                 match op.kind {
                     MemKind::Store => {
                         let req = StoreRequest {
@@ -943,8 +947,8 @@ impl Script {
         let mut init = Vec::new();
         for w in 0..n_words {
             if rng.below(2) == 0 {
-                let access = MemAccess::new(Addr(base + 8 * w), AccessSize::Double)
-                    .expect("word-aligned");
+                let access =
+                    MemAccess::new(Addr(base + 8 * w), AccessSize::Double).expect("word-aligned");
                 init.push((access, rng.next()));
             }
         }
@@ -954,7 +958,8 @@ impl Script {
             let bytes = size.bytes();
             let word = base + 8 * rng.below(n_words);
             let offset = bytes * rng.below(8 / bytes);
-            let access = MemAccess::new(Addr(word + offset), size).expect("aligned by construction");
+            let access =
+                MemAccess::new(Addr(word + offset), size).expect("aligned by construction");
             let kind = if rng.below(5) < 2 {
                 MemKind::Store
             } else {

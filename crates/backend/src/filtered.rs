@@ -358,7 +358,10 @@ impl MemBackend for FilteredLsqBackend {
     }
 
     fn retire_store(&mut self, seq: SeqNum, _access: MemAccess) {
-        let t = self.stores.pop_front().expect("store retire on empty filter");
+        let t = self
+            .stores
+            .pop_front()
+            .expect("store retire on empty filter");
         assert_eq!(t.seq, seq, "store retirement out of order");
         let slot = t.slot.expect("retiring store never executed");
         self.filter.remove(slot);
@@ -439,7 +442,13 @@ mod tests {
         b.store_execute(&store_req(1, d(0x100), 7), &mem);
         // Different word: the filter proves no alias, no search fires.
         let out = b.load_execute(&load_req(2, d(0x200)), &mem);
-        assert!(matches!(out, LoadOutcome::Done { value: 0, forwarded: false }));
+        assert!(matches!(
+            out,
+            LoadOutcome::Done {
+                value: 0,
+                forwarded: false
+            }
+        ));
         let s = stats(&b);
         assert_eq!(s.filter.filtered_loads, 1);
         assert_eq!(s.filter.searched_loads, 0);
@@ -455,7 +464,13 @@ mod tests {
         b.dispatch(MemKind::Load, SeqNum(2), 4, None);
         b.store_execute(&store_req(1, d(0x100), 0xABCD), &mem);
         let out = b.load_execute(&load_req(2, d(0x100)), &mem);
-        assert!(matches!(out, LoadOutcome::Done { value: 0xABCD, forwarded: true }));
+        assert!(matches!(
+            out,
+            LoadOutcome::Done {
+                value: 0xABCD,
+                forwarded: true
+            }
+        ));
         let s = stats(&b);
         assert_eq!(s.filter.searched_loads, 1);
         assert_eq!(s.filter.filtered_loads, 0);
@@ -474,7 +489,13 @@ mod tests {
         b.dispatch(MemKind::Store, SeqNum(2), 4, None);
         b.store_execute(&store_req(2, d(0x100), 9), &mem);
         let out = b.load_execute(&load_req(1, d(0x100)), &mem);
-        assert!(matches!(out, LoadOutcome::Done { value: 0, forwarded: false }));
+        assert!(matches!(
+            out,
+            LoadOutcome::Done {
+                value: 0,
+                forwarded: false
+            }
+        ));
         let s = stats(&b);
         assert_eq!(s.filter.searched_loads, 1);
         assert_eq!(s.filter.false_positive_hits, 1);
@@ -491,8 +512,10 @@ mod tests {
         let out = b.load_execute(&load_req(2, d(0x100)), &mem);
         assert!(matches!(out, LoadOutcome::Done { value: 0, .. }));
         assert_eq!(stats(&b).filter.filtered_loads, 1);
-        let StoreOutcome::Done { violations, latency } =
-            b.store_execute(&store_req(1, d(0x100), 5), &mem)
+        let StoreOutcome::Done {
+            violations,
+            latency,
+        } = b.store_execute(&store_req(1, d(0x100), 5), &mem)
         else {
             panic!("filtered-LSQ stores never replay");
         };

@@ -146,7 +146,11 @@ mod tests {
             floor: SeqNum(1),
             bypass: false,
         };
-        let StoreOutcome::Done { violations, latency } = b.store_execute(&st, &mem) else {
+        let StoreOutcome::Done {
+            violations,
+            latency,
+        } = b.store_execute(&st, &mem)
+        else {
             panic!("LSQ stores never replay");
         };
         assert_eq!(latency, 1);

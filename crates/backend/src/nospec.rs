@@ -49,7 +49,8 @@ impl MemBackend for NoSpecBackend {
                 assert!(tail < seq, "store dispatch out of program order");
             }
             self.stores.push_back(seq);
-            self.stats.peak_inflight_stores = self.stats.peak_inflight_stores.max(self.stores.len());
+            self.stats.peak_inflight_stores =
+                self.stats.peak_inflight_stores.max(self.stores.len());
         }
     }
 
@@ -139,7 +140,10 @@ mod tests {
             LoadOutcome::Replay(ReplayCause::OrderWait)
         ));
         b.retire_store(SeqNum(1), d(0x100));
-        assert!(matches!(b.load_execute(&ld, &mem), LoadOutcome::Done { .. }));
+        assert!(matches!(
+            b.load_execute(&ld, &mem),
+            LoadOutcome::Done { .. }
+        ));
         assert_eq!(b.stats.order_waits, 2);
     }
 
@@ -155,7 +159,10 @@ mod tests {
             floor: SeqNum(1),
             filtered: false,
         };
-        assert!(matches!(b.load_execute(&ld, &mem), LoadOutcome::Done { .. }));
+        assert!(matches!(
+            b.load_execute(&ld, &mem),
+            LoadOutcome::Done { .. }
+        ));
     }
 
     #[test]
@@ -171,6 +178,9 @@ mod tests {
             floor: SeqNum(1),
             filtered: false,
         };
-        assert!(matches!(b.load_execute(&ld, &mem), LoadOutcome::Done { .. }));
+        assert!(matches!(
+            b.load_execute(&ld, &mem),
+            LoadOutcome::Done { .. }
+        ));
     }
 }

@@ -68,7 +68,8 @@ impl MemBackend for OracleBackend {
                 hint,
                 data: None,
             });
-            self.stats.peak_inflight_stores = self.stats.peak_inflight_stores.max(self.stores.len());
+            self.stats.peak_inflight_stores =
+                self.stats.peak_inflight_stores.max(self.stores.len());
         }
     }
 
@@ -77,9 +78,7 @@ impl MemBackend for OracleBackend {
         // overlap: known-address stores are checked precisely; unknowable
         // (wrong-path) stores block conservatively.
         let must_wait = self.stores.iter().any(|st| {
-            st.seq < req.seq
-                && st.data.is_none()
-                && st.hint.is_none_or(|h| h.overlaps(req.access))
+            st.seq < req.seq && st.data.is_none() && st.hint.is_none_or(|h| h.overlaps(req.access))
         });
         if must_wait {
             self.stats.order_waits += 1;
@@ -190,7 +189,10 @@ mod tests {
         b.store_execute(&st(1, 0x100, 42), &mem);
         assert!(matches!(
             b.load_execute(&ld(2, 0x100), &mem),
-            LoadOutcome::Done { value: 42, forwarded: true }
+            LoadOutcome::Done {
+                value: 42,
+                forwarded: true
+            }
         ));
         assert_eq!(b.stats.order_waits, 1);
         assert_eq!(b.stats.full_forwards, 1);
@@ -203,7 +205,10 @@ mod tests {
         b.dispatch(MemKind::Store, SeqNum(1), 0, Some(d(0x200)));
         assert!(matches!(
             b.load_execute(&ld(2, 0x100), &mem),
-            LoadOutcome::Done { value: 0, forwarded: false }
+            LoadOutcome::Done {
+                value: 0,
+                forwarded: false
+            }
         ));
     }
 
@@ -226,7 +231,10 @@ mod tests {
         b.store_execute(&st(5, 0x100, 99), &mem);
         assert!(matches!(
             b.load_execute(&ld(2, 0x100), &mem),
-            LoadOutcome::Done { value: 0, forwarded: false }
+            LoadOutcome::Done {
+                value: 0,
+                forwarded: false
+            }
         ));
     }
 

@@ -159,10 +159,8 @@ impl PcaxPredStats {
     /// retires + forward hits over all resolved predictions).
     pub fn accuracy(&self) -> f64 {
         let correct = self.no_alias_correct + self.forward_hits;
-        let resolved = correct
-            + self.no_alias_vetoed
-            + self.no_alias_violated
-            + self.forward_misses;
+        let resolved =
+            correct + self.no_alias_vetoed + self.no_alias_violated + self.forward_misses;
         if resolved == 0 {
             return 0.0;
         }
@@ -617,7 +615,13 @@ mod tests {
         let mem = MainMemory::new();
         b.dispatch(MemKind::Load, SeqNum(1), 0x10, None);
         let out = b.load_execute(&load_req(1, 0x10, d(0x100)), &mem);
-        assert!(matches!(out, LoadOutcome::Done { forwarded: false, .. }));
+        assert!(matches!(
+            out,
+            LoadOutcome::Done {
+                forwarded: false,
+                ..
+            }
+        ));
         let s = stats(&b).pred;
         assert_eq!(s.loads_unknown, 1);
         assert_eq!(s.sfc_probes_skipped, 0);
@@ -630,7 +634,13 @@ mod tests {
         let seq = train_no_alias(&mut b, 0x10, 1);
         b.dispatch(MemKind::Load, SeqNum(seq), 0x10, None);
         let out = b.load_execute(&load_req(seq, 0x10, d(0x900)), &mem);
-        assert!(matches!(out, LoadOutcome::Done { forwarded: false, .. }));
+        assert!(matches!(
+            out,
+            LoadOutcome::Done {
+                forwarded: false,
+                ..
+            }
+        ));
         let s = stats(&b).pred;
         assert_eq!(s.loads_no_alias, 1);
         assert_eq!(s.sfc_probes_skipped, 1);
@@ -653,7 +663,10 @@ mod tests {
         // MDT check would ever catch it.
         assert!(matches!(
             out,
-            LoadOutcome::Done { value: 0xBEEF, forwarded: true }
+            LoadOutcome::Done {
+                value: 0xBEEF,
+                forwarded: true
+            }
         ));
         b.retire_load(SeqNum(seq + 1), d(0x900));
         let s = stats(&b).pred;
@@ -687,7 +700,13 @@ mod tests {
         // ...and forwards from it once it has executed.
         b.store_execute(&store_req(11, 0x50, d(0x100), 9), &mem);
         let out = b.load_execute(&load_req(12, 0x20, d(0x100)), &mem);
-        assert!(matches!(out, LoadOutcome::Done { value: 9, forwarded: true }));
+        assert!(matches!(
+            out,
+            LoadOutcome::Done {
+                value: 9,
+                forwarded: true
+            }
+        ));
         b.retire_load(SeqNum(12), d(0x100));
         let s = stats(&b).pred;
         assert_eq!(s.forward_wait_replays, 1);

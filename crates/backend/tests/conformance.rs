@@ -205,8 +205,8 @@ fn late_store_recovery_conforms() {
     assert_eq!(script.exec_priority.len(), n);
     for (name, params) in all_backend_params() {
         let mut backend = build(&params);
-        let got = check_contract(backend.as_mut(), &script)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let got =
+            check_contract(backend.as_mut(), &script).unwrap_or_else(|e| panic!("{name}: {e}"));
         // The bounds backends never misspeculate; the speculative ones must
         // actually have recovered here, not dodged the schedule.
         match name {
@@ -554,8 +554,14 @@ fn sibling_interference_with_tiny_mdt_geometry() {
         };
         let noisy =
             run_script_with_interference(noisy_backend.as_mut(), &script, &mut sibling).unwrap();
-        assert_eq!(clean.load_values, noisy.load_values, "seed {seed}: load values");
-        assert_eq!(clean.violations, noisy.violations, "seed {seed}: violations");
+        assert_eq!(
+            clean.load_values, noisy.load_values,
+            "seed {seed}: load values"
+        );
+        assert_eq!(
+            clean.violations, noisy.violations,
+            "seed {seed}: violations"
+        );
         assert_eq!(clean.replays, noisy.replays, "seed {seed}: replays");
         assert_eq!(clean.rounds, noisy.rounds, "seed {seed}: rounds");
     }

@@ -245,7 +245,11 @@ mod tests {
         for t in &suite {
             assert!(t.programs.len() >= 2, "{} is multi-core", t.name);
             for (core, _) in &t.observed {
-                assert!(*core < t.programs.len(), "{}: observed core in range", t.name);
+                assert!(
+                    *core < t.programs.len(),
+                    "{}: observed core in range",
+                    t.name
+                );
             }
         }
     }

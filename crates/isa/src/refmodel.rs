@@ -83,7 +83,10 @@ impl fmt::Display for RefError {
                 write!(f, "core {core} pc {pc}: `{instr}` outside litmus subset")
             }
             RefError::BadAccess { core, pc } => {
-                write!(f, "core {core} pc {pc}: access is not an aligned 8-byte word")
+                write!(
+                    f,
+                    "core {core} pc {pc}: access is not an aligned 8-byte word"
+                )
             }
             RefError::PcOutOfRange { core, pc } => {
                 write!(f, "core {core}: pc {pc} out of range")
@@ -236,7 +239,8 @@ impl<'a> Model<'a> {
                 Instr::Load {
                     base, offset, size, ..
                 } => {
-                    let word = self.word_of(core, c.pc, c.regs[base.index() as usize], offset, size)?;
+                    let word =
+                        self.word_of(core, c.pc, c.regs[base.index() as usize], offset, size)?;
                     if c.sb.iter().rev().any(|&(w, _)| w == word) {
                         // Forwarding from the own store buffer is mandatory:
                         // exactly one way to execute this load.
@@ -323,7 +327,11 @@ impl<'a> Model<'a> {
                         size,
                     } => {
                         let word = self.word_of(core, pc, reg(c, base), offset, size)?;
-                        let forwarded = c.sb.iter().rev().find(|&&(w, _)| w == word).map(|&(_, v)| v);
+                        let forwarded =
+                            c.sb.iter()
+                                .rev()
+                                .find(|&&(w, _)| w == word)
+                                .map(|&(_, v)| v);
                         let value = match (forwarded, load_version) {
                             (Some(v), _) => v,
                             (None, Some(idx)) => {
@@ -508,7 +516,10 @@ mod tests {
         let t = by_name("MP");
         let set = outcomes(&t);
         // Relaxed: flag observed set, data still old.
-        assert!(set.contains(&vec![1, 0]), "MP relaxed outcome must be allowed");
+        assert!(
+            set.contains(&vec![1, 0]),
+            "MP relaxed outcome must be allowed"
+        );
         assert!(set.contains(&vec![1, 42]));
         assert!(set.contains(&vec![0, 0]));
         // Data=42 with flag unobserved is also fine (reader may see the data
@@ -600,8 +611,7 @@ mod tests {
         asm.ld(Reg::new(2), Reg::new(1), 0);
         asm.halt();
         let p = asm.assemble().unwrap();
-        let set =
-            allowed_outcomes(&[p], &[(0, Reg::new(2))], &RefLimits::default()).unwrap();
+        let set = allowed_outcomes(&[p], &[(0, Reg::new(2))], &RefLimits::default()).unwrap();
         assert_eq!(set.into_iter().collect::<Vec<_>>(), vec![vec![0xABCD]]);
     }
 }
