@@ -559,7 +559,7 @@ pub fn resolve_bytes(
     mem: &MainMemory,
 ) -> (u64, u32) {
     let word = access.word_addr();
-    let mut value = 0u64;
+    let mut value = mem.read(access);
     let mut forwarded = 0u32;
     for (k, byte_idx) in access.mask().iter_bytes().enumerate() {
         let byte_addr = word.0 + byte_idx as u64;
@@ -571,14 +571,10 @@ pub fn resolve_bytes(
                 byte = Some((svalue >> (8 * off)) as u8);
             }
         }
-        let b = match byte {
-            Some(b) => {
-                forwarded += 1;
-                b
-            }
-            None => mem.read_byte(aim_types::Addr(byte_addr)),
-        };
-        value |= (b as u64) << (8 * k);
+        if let Some(b) = byte {
+            forwarded += 1;
+            value = aim_types::overlay_byte(value, k, b);
+        }
     }
     (value, forwarded)
 }

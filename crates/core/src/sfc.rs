@@ -408,11 +408,7 @@ impl Sfc {
         let valid_needed = needed & self.valid[slot];
         if valid_needed == needed {
             let base = access.addr().offset_in_word();
-            let len = access.size().bytes() as u32;
-            let mut v = self.data[slot] >> (8 * base);
-            if len < 8 {
-                v &= (1u64 << (8 * len)) - 1;
-            }
+            let v = (self.data[slot] >> (8 * base)) & access.size().value_mask();
             self.stats.forwards += 1;
             SfcLoadResult::Forward(v)
         } else if valid_needed.is_empty() {

@@ -204,7 +204,7 @@ impl<'a> Interpreter<'a> {
                 let access = mem_access(base, offset, size, self)?;
                 let v = self.reg(rs);
                 self.mem.write(access, v);
-                record.mem_store = Some((access, self.mem.read(access)));
+                record.mem_store = Some((access, v & size.value_mask()));
             }
             Instr::Branch {
                 cond,

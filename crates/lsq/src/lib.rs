@@ -49,7 +49,7 @@ use std::str::FromStr;
 
 use aim_mem::MainMemory;
 use aim_types::token::parse_fields;
-use aim_types::{Addr, MemAccess, SeqNum, ViolationKind};
+use aim_types::{overlay_byte, Addr, MemAccess, SeqNum, ViolationKind};
 
 /// Queue capacities. The paper's figures use 48×32 (baseline), and 120×80 /
 /// 256×256 (aggressive).
@@ -292,7 +292,7 @@ impl Lsq {
     /// occupied entry (see [`LsqStats::sq_entries_compared`]).
     fn resolve(&self, reader_seq: SeqNum, access: MemAccess, mem: &MainMemory) -> (u64, u32) {
         let word = access.word_addr();
-        let mut value = 0u64;
+        let mut value = mem.read(access);
         let mut forwarded = 0u32;
         for (k, byte_idx) in access.mask().iter_bytes().enumerate() {
             let byte_addr = Addr(word.0 + byte_idx as u64);
@@ -310,14 +310,10 @@ impl Lsq {
                     }
                 }
             }
-            let b = match byte {
-                Some(b) => {
-                    forwarded += 1;
-                    b
-                }
-                None => mem.read_byte(byte_addr),
-            };
-            value |= (b as u64) << (8 * k);
+            if let Some(b) = byte {
+                forwarded += 1;
+                value = overlay_byte(value, k, b);
+            }
         }
         (value, forwarded)
     }
@@ -375,12 +371,7 @@ impl Lsq {
         access: MemAccess,
         mem: &MainMemory,
     ) -> LsqLoadValue {
-        let word = access.word_addr();
-        let mut value = 0u64;
-        for (k, byte_idx) in access.mask().iter_bytes().enumerate() {
-            let b = mem.read_byte(Addr(word.0 + byte_idx as u64));
-            value |= (b as u64) << (8 * k);
-        }
+        let value = mem.read(access);
         let entry = self
             .loads
             .iter_mut()
@@ -566,6 +557,24 @@ mod tests {
     }
 
     #[test]
+    fn partial_forward_lands_each_byte_at_its_offset() {
+        // Every memory byte differs, and the load starts mid-word, so a
+        // forwarded byte placed by word index instead of load index shows.
+        let mut q = lsq();
+        let mut mem = MainMemory::new();
+        mem.write(d(0x100), 0x8877_6655_4433_2211);
+        q.dispatch_store(SeqNum(1), 0x10);
+        q.dispatch_store(SeqNum(2), 0x14);
+        q.dispatch_load(SeqNum(3), 0x18);
+        q.store_execute(SeqNum(1), acc(0x106, AccessSize::Half), 0xDDCC, &mem);
+        q.store_execute(SeqNum(2), acc(0x105, AccessSize::Byte), 0xAA, &mem);
+        let v = q.load_execute(SeqNum(3), acc(0x104, AccessSize::Word), &mem);
+        assert_eq!(v.value, 0xDDCC_AA55);
+        assert_eq!(v.forwarded_bytes, 3);
+        assert_eq!(q.stats().partial_forwards, 1);
+    }
+
+    #[test]
     fn late_store_raises_true_violation() {
         let mut q = lsq();
         let mem = MainMemory::new();
@@ -723,6 +732,25 @@ mod tests {
         assert_eq!(v.forwarded_bytes, 0);
         assert_eq!(q.stats().sq_searches, 0);
         assert_eq!(q.stats().sq_entries_compared, 0);
+    }
+
+    #[test]
+    fn unsearched_load_reads_each_size_at_its_offset() {
+        let mut q = lsq();
+        let mut mem = MainMemory::new();
+        mem.write(d(0x100), 0x8877_6655_4433_2211);
+        let loads = [
+            (acc(0x107, AccessSize::Byte), 0x88),
+            (acc(0x102, AccessSize::Half), 0x4433),
+            (acc(0x104, AccessSize::Word), 0x8877_6655),
+            (d(0x100), 0x8877_6655_4433_2211),
+        ];
+        for (seq, &(access, expect)) in (1..).zip(&loads) {
+            q.dispatch_load(SeqNum(seq), 0x10);
+            let v = q.load_execute_unsearched(SeqNum(seq), access, &mem);
+            assert_eq!(v.value, expect, "{access}");
+            assert_eq!(v.forwarded_bytes, 0);
+        }
     }
 
     #[test]

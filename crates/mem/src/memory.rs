@@ -1,11 +1,56 @@
 //! Sparse, byte-addressable committed memory.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use aim_types::{Addr, MemAccess};
+use aim_types::{AccessSize, Addr, MemAccess};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+
+type Page = Box<[u8; PAGE_BYTES]>;
+
+/// Hashes a page number with one multiply and a fold of the high half into
+/// the low half, so that pages far apart (code, heap, stack) spread over
+/// the map's buckets as well as neighbours do.
+///
+/// Page numbers come from the simulated program's own addresses. A program
+/// built to collide its pages only slows its own simulation, so the
+/// flooding resistance of the default SipHash buys nothing here, and its
+/// per-probe cost sits under every simulated load and store.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, page: u64) {
+        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Splits an address into its page number and its offset in that page.
+#[inline]
+fn split(addr: Addr) -> (u64, usize) {
+    (addr.0 >> PAGE_SHIFT, (addr.0 as usize) & (PAGE_BYTES - 1))
+}
+
+/// The `N` bytes of `page` from `off`.
+#[inline]
+fn le<const N: usize>(page: &[u8; PAGE_BYTES], off: usize) -> [u8; N] {
+    page[off..off + N].try_into().expect("N bytes")
+}
 
 /// Sparse, byte-addressable 64-bit main memory.
 ///
@@ -14,6 +59,10 @@ const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 /// also gives wrong-path loads to arbitrary addresses a well-defined value —
 /// the paper's simulator likewise "executes all instructions, including those
 /// on mispredicted paths".
+///
+/// Memory is a map of 4 KiB pages, allocated on first write. An aligned
+/// access of at most 8 bytes never crosses a page, so [`read`](Self::read)
+/// and [`write`](Self::write) cost one page lookup whatever their size.
 ///
 /// All multi-byte values are little-endian.
 ///
@@ -31,7 +80,7 @@ const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
-    pages: HashMap<u64, Box<[u8]>>,
+    pages: HashMap<u64, Page, BuildHasherDefault<PageHasher>>,
 }
 
 impl MainMemory {
@@ -40,48 +89,68 @@ impl MainMemory {
         MainMemory::default()
     }
 
+    /// The page numbered `page`, allocated zeroed on first touch.
+    #[inline]
+    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_BYTES] {
+        self.pages
+            .entry(page)
+            .or_insert_with(|| Box::new([0; PAGE_BYTES]))
+    }
+
     /// Reads one byte; unmapped bytes read as zero.
     #[inline]
     pub fn read_byte(&self, addr: Addr) -> u8 {
-        let page = addr.0 >> PAGE_SHIFT;
-        let off = (addr.0 as usize) & (PAGE_BYTES - 1);
+        let (page, off) = split(addr);
         self.pages.get(&page).map_or(0, |p| p[off])
     }
 
     /// Writes one byte, allocating the containing page on demand.
     #[inline]
     pub fn write_byte(&mut self, addr: Addr, value: u8) {
-        let page = addr.0 >> PAGE_SHIFT;
-        let off = (addr.0 as usize) & (PAGE_BYTES - 1);
-        let p = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| vec![0u8; PAGE_BYTES].into_boxed_slice());
-        p[off] = value;
+        let (page, off) = split(addr);
+        self.page_mut(page)[off] = value;
     }
 
     /// Reads an aligned access as a little-endian, zero-extended value.
+    #[inline]
     pub fn read(&self, access: MemAccess) -> u64 {
-        let mut v = 0u64;
-        for i in 0..access.size().bytes() {
-            let b = self.read_byte(access.addr().wrapping_add(i));
-            v |= (b as u64) << (8 * i);
+        let (page, off) = split(access.addr());
+        let Some(p) = self.pages.get(&page) else {
+            return 0;
+        };
+        match access.size() {
+            AccessSize::Byte => u64::from(p[off]),
+            AccessSize::Half => u64::from(u16::from_le_bytes(le(p, off))),
+            AccessSize::Word => u64::from(u32::from_le_bytes(le(p, off))),
+            AccessSize::Double => u64::from_le_bytes(le(p, off)),
         }
-        v
     }
 
     /// Writes the low `size` bytes of `value` at an aligned access,
     /// little-endian.
+    #[inline]
     pub fn write(&mut self, access: MemAccess, value: u64) {
-        for i in 0..access.size().bytes() {
-            self.write_byte(access.addr().wrapping_add(i), (value >> (8 * i)) as u8);
+        let (page, off) = split(access.addr());
+        let p = self.page_mut(page);
+        match access.size() {
+            AccessSize::Byte => p[off] = value as u8,
+            AccessSize::Half => p[off..off + 2].copy_from_slice(&(value as u16).to_le_bytes()),
+            AccessSize::Word => p[off..off + 4].copy_from_slice(&(value as u32).to_le_bytes()),
+            AccessSize::Double => p[off..off + 8].copy_from_slice(&value.to_le_bytes()),
         }
     }
 
-    /// Copies `bytes` into memory starting at `addr`.
+    /// Copies `bytes` into memory starting at `addr`, one page-sized chunk
+    /// at a time.
     pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_byte(addr.wrapping_add(i as u64), b);
+        let mut at = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let (page, off) = split(at);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_BYTES - off));
+            self.page_mut(page)[off..off + chunk.len()].copy_from_slice(chunk);
+            at = at.wrapping_add(chunk.len() as u64);
+            rest = tail;
         }
     }
 
@@ -120,7 +189,6 @@ impl MainMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aim_types::AccessSize;
 
     fn acc(addr: u64, size: AccessSize) -> MemAccess {
         MemAccess::new(Addr(addr), size).unwrap()
@@ -140,12 +208,7 @@ mod tests {
             let a = acc(0x1000 + 16 * i as u64, size);
             let v = 0x8877_6655_4433_2211u64;
             mem.write(a, v);
-            let expect = if size.bytes() == 8 {
-                v
-            } else {
-                v & ((1u64 << (8 * size.bytes())) - 1)
-            };
-            assert_eq!(mem.read(a), expect, "size {size}");
+            assert_eq!(mem.read(a), v & size.value_mask(), "size {size}");
         }
     }
 

@@ -14,7 +14,7 @@ use aim_mem::{
 };
 use aim_types::{AccessSize, Addr, MemAccess};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A true-LRU, set-associative tag store: per set, the resident line
 /// numbers in recency order (most recent at the back).
@@ -143,25 +143,139 @@ fn stream() -> impl Strategy<Value = Vec<Access>> {
     proptest::collection::vec((addr, any::<bool>()), 0..300)
 }
 
+/// A start address in one of four places: the first page, the 32 bytes
+/// around the boundary between pages 0 and 1, the top 32 bytes of the
+/// address space, or anywhere.
+fn start() -> impl Strategy<Value = u64> {
+    let window = prop_oneof![
+        Just(0u64),
+        Just(0x1000 - 16),
+        Just(0xFFFF_FFFF_FFFF_FFE0),
+        any::<u64>(),
+    ];
+    (window, 0u64..32).prop_map(|(base, off)| base.wrapping_add(off))
+}
+
+/// An access of any size at an aligned address near [`start`].
+fn access() -> impl Strategy<Value = MemAccess> {
+    (start(), 0usize..4).prop_map(|(addr, size)| {
+        let size = AccessSize::ALL[size];
+        MemAccess::new(Addr(addr - addr % size.bytes()), size).expect("aligned")
+    })
+}
+
+/// What a memory should hold, one byte at a time: the written bytes and
+/// the pages the writes touched.
+#[derive(Default)]
+struct ByteMap {
+    bytes: BTreeMap<u64, u8>,
+    pages: BTreeSet<u64>,
+}
+
+impl ByteMap {
+    fn write(&mut self, addr: u64, value: u8) {
+        self.bytes.insert(addr, value);
+        self.pages.insert(addr >> 12);
+    }
+
+    fn read(&self, addr: u64) -> u8 {
+        self.bytes.get(&addr).copied().unwrap_or(0)
+    }
+
+    /// Checks every read path, the page count and the non-zero byte list
+    /// of `mem` against the map.
+    fn check(&self, mem: &MainMemory) -> Result<(), TestCaseError> {
+        for &addr in self.bytes.keys() {
+            prop_assert_eq!(
+                mem.read_byte(Addr(addr)),
+                self.read(addr),
+                "byte {:#x}",
+                addr
+            );
+        }
+        prop_assert_eq!(mem.allocated_pages(), self.pages.len());
+        let nonzero: Vec<(u64, u8)> = self
+            .bytes
+            .iter()
+            .filter(|&(_, &b)| b != 0)
+            .map(|(&a, &b)| (a, b))
+            .collect();
+        prop_assert_eq!(mem.nonzero_bytes(), nonzero);
+        Ok(())
+    }
+}
+
+/// One memory operation: a sized read, a sized write, or a one-byte write
+/// through `write_byte`.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Read(MemAccess),
+    Write(MemAccess, u64),
+    WriteByte(Addr, u8),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        access().prop_map(Op::Read),
+        (access(), any::<u64>()).prop_map(|(a, v)| Op::Write(a, v)),
+        (start(), any::<u8>()).prop_map(|(a, v)| Op::WriteByte(Addr(a), v)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// MainMemory behaves as a sparse byte map.
+    /// MainMemory behaves as a sparse byte map under mixed reads and
+    /// writes of every size, at both neighbours of a page boundary and in
+    /// the top page; reads allocate nothing.
     #[test]
-    fn memory_matches_byte_map(
-        writes in proptest::collection::vec((any::<u32>(), any::<u8>()), 0..100),
-        probes in proptest::collection::vec(any::<u32>(), 0..50),
+    fn memory_matches_byte_map(ops in proptest::collection::vec(op(), 0..200)) {
+        let mut mem = MainMemory::new();
+        let mut reference = ByteMap::default();
+        for op in ops {
+            match op {
+                Op::Read(access) => {
+                    let bytes = access.size().bytes();
+                    let expect = (0..bytes).fold(0u64, |v, k| {
+                        v | u64::from(reference.read(access.addr().0 + k)) << (8 * k)
+                    });
+                    prop_assert_eq!(mem.read(access), expect, "read {}", access);
+                    for k in 0..bytes {
+                        let addr = access.addr().0 + k;
+                        prop_assert_eq!(mem.read_byte(Addr(addr)), reference.read(addr));
+                    }
+                }
+                Op::Write(access, value) => {
+                    mem.write(access, value);
+                    for k in 0..access.size().bytes() {
+                        reference.write(access.addr().0 + k, (value >> (8 * k)) as u8);
+                    }
+                }
+                Op::WriteByte(addr, value) => {
+                    mem.write_byte(addr, value);
+                    reference.write(addr.0, value);
+                }
+            }
+            prop_assert_eq!(mem.allocated_pages(), reference.pages.len());
+        }
+        reference.check(&mem)?;
+    }
+
+    /// A block copy of up to three pages matches the byte map, whether it
+    /// crosses a page boundary or wraps from the top page to page 0.
+    #[test]
+    fn write_bytes_matches_byte_map(
+        addr in start(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..9000),
     ) {
         let mut mem = MainMemory::new();
-        let mut reference: HashMap<u64, u8> = HashMap::new();
-        for (addr, value) in &writes {
-            mem.write_byte(Addr(*addr as u64), *value);
-            reference.insert(*addr as u64, *value);
+        let mut reference = ByteMap::default();
+        mem.write_bytes(Addr(addr), &bytes);
+        for (i, &b) in (0u64..).zip(&bytes) {
+            reference.write(addr.wrapping_add(i), b);
         }
-        for addr in writes.iter().map(|(a, _)| *a).chain(probes) {
-            let expect = reference.get(&(addr as u64)).copied().unwrap_or(0);
-            prop_assert_eq!(mem.read_byte(Addr(addr as u64)), expect);
-        }
+        prop_assert_eq!(mem.read_bytes(Addr(addr), bytes.len()), bytes);
+        reference.check(&mem)?;
     }
 
     /// Multi-byte reads assemble little-endian from the byte map.

@@ -118,12 +118,7 @@ impl Core<'_> {
             let (got_acc, got_val) = e.mem.ok_or_else(|| {
                 SimError::Validation(format!("store at pc {} retired without executing", e.pc))
             })?;
-            let bytes = acc.size().bytes();
-            let mask = if bytes == 8 {
-                u64::MAX
-            } else {
-                (1u64 << (8 * bytes)) - 1
-            };
+            let mask = acc.size().value_mask();
             if got_acc != acc || (got_val & mask) != expect {
                 return Err(SimError::Validation(format!(
                     "wrong store at pc {} (trace {t}): expected {acc}={expect:#x}, \

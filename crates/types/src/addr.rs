@@ -104,6 +104,13 @@ impl AccessSize {
         }
     }
 
+    /// The low `bytes()` bytes of a value set: what an access of this size
+    /// stores, and the range a load of this size zero-extends from.
+    #[inline]
+    pub fn value_mask(self) -> u64 {
+        u64::MAX >> (64 - 8 * self.bytes())
+    }
+
     /// All four sizes, smallest first. Handy for tests and generators.
     pub const ALL: [AccessSize; 4] = [
         AccessSize::Byte,

@@ -42,6 +42,20 @@ pub use violation::ViolationKind;
 /// is adequate for a 64-bit processor", §2.2).
 pub const WORD_BYTES: u64 = 8;
 
+/// `value` with its byte `k` (0 = least significant) replaced by `byte`:
+/// how a forwarded byte lands in a load value read from committed memory.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(aim_types::overlay_byte(0x1122_3344, 1, 0xab), 0x1122_ab44);
+/// ```
+#[inline]
+pub fn overlay_byte(value: u64, k: usize, byte: u8) -> u64 {
+    let shift = 8 * k;
+    (value & !(0xff << shift)) | (u64::from(byte) << shift)
+}
+
 /// Computes `numerator / denominator` as a percentage, returning 0.0 for an
 /// empty denominator. Used throughout the statistics reporting.
 ///
