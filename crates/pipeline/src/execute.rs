@@ -30,9 +30,13 @@ impl Core<'_> {
         let mut to_issue = std::mem::take(&mut self.issue_scratch);
         to_issue.clear();
         let head = (!self.rob.is_empty()).then(|| self.rob.stable_of(0));
-        self.sched.select(head, self.config.issue_width, &mut to_issue);
+        self.sched
+            .select(head, self.config.issue_width, &mut to_issue);
         if let Some(expected) = expected {
-            assert_eq!(to_issue, expected, "ready-set select diverged from the scan");
+            assert_eq!(
+                to_issue, expected,
+                "ready-set select diverged from the scan"
+            );
         }
 
         // Queue positions stay valid across the whole drain: executing an
@@ -86,7 +90,11 @@ impl Core<'_> {
             );
             ready += is_ready as usize;
         }
-        assert_eq!(self.sched.ready_count(), ready, "ready bit outside the window");
+        assert_eq!(
+            self.sched.ready_count(),
+            ready,
+            "ready bit outside the window"
+        );
         selected
     }
 
@@ -375,7 +383,10 @@ impl Core<'_> {
                 self.replay(idx, probe);
                 MemOutcome::Replay
             }
-            StoreOutcome::Done { latency, violations } => {
+            StoreOutcome::Done {
+                latency,
+                violations,
+            } => {
                 for v in violations {
                     let corrupt_only = v.kind == ViolationKind::Output && corrupt_on_output;
                     if corrupt_only {

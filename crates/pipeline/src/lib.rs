@@ -85,11 +85,11 @@ pub use config::{
 };
 pub use machine::{Core, FinalState, Machine, SimError};
 pub use multi::{run_litmus, CoreSchedule, MultiFinalState, MultiMachine, MultiStats};
-pub use spec::{ConfigSpec, JobSpec};
 pub use pipeview::{PipeRecord, Pipeview};
 pub use probe::{Event, EventLog, Probe, Stage, StageTimes};
 pub use rename::{PhysReg, RenameDest, Renamer};
 pub use rob::{InFlight, InstrState, Rob};
+pub use spec::{ConfigSpec, JobSpec};
 pub use stats::{DispatchStalls, FlushCounts, HostPerf, ReplayCounts, SampledStats, SimStats};
 
 use aim_isa::{Interpreter, Program};
@@ -201,7 +201,11 @@ mod tests {
         let nospec = simulate(&p, &baseline(BackendChoice::NoSpec)).unwrap();
         let oracle = simulate(&p, &baseline(BackendChoice::Oracle)).unwrap();
         assert!(nospec.retired > 1000);
-        assert_eq!(nospec.flushes.memory(), 0, "serialized loads cannot violate");
+        assert_eq!(
+            nospec.flushes.memory(),
+            0,
+            "serialized loads cannot violate"
+        );
         assert!(nospec.backend.nospec().is_some());
         assert!(
             nospec.cycles >= oracle.cycles,

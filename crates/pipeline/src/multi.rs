@@ -148,7 +148,10 @@ impl<'a> MultiMachine<'a> {
     /// # Errors
     ///
     /// See [`MultiMachine::run`].
-    pub fn run_final(mut self, schedule: CoreSchedule) -> Result<(MultiStats, MultiFinalState), SimError> {
+    pub fn run_final(
+        mut self,
+        schedule: CoreSchedule,
+    ) -> Result<(MultiStats, MultiFinalState), SimError> {
         self.run_loop(schedule)?;
         let stats = self.collect_stats();
         let regs = self.cores.iter().map(Core::arch_regs).collect();
@@ -226,7 +229,8 @@ fn lend<'a, R>(
     core: &mut Core<'a>,
     f: impl FnOnce(&mut Core<'a>) -> R,
 ) -> R {
-    core.memsys.receive(shared.take().expect("the tier is home between steps"));
+    core.memsys
+        .receive(shared.take().expect("the tier is home between steps"));
     let result = f(core);
     *shared = Some(core.memsys.hand_back());
     result
@@ -319,8 +323,7 @@ pub fn run_litmus(
                 .map_err(|e| SimError::Program(format!("litmus {}: {e}", test.name)))
         })
         .collect::<Result<_, _>>()?;
-    let workloads: Vec<(&Program, &Trace)> =
-        test.programs.iter().zip(traces.iter()).collect();
+    let workloads: Vec<(&Program, &Trace)> = test.programs.iter().zip(traces.iter()).collect();
     let mut cfg = config.clone();
     cfg.validate_retirement = false;
     let mm = MultiMachine::new(&workloads, cfg);
@@ -340,7 +343,11 @@ struct Xorshift64Star {
 impl Xorshift64Star {
     fn new(seed: u64) -> Xorshift64Star {
         Xorshift64Star {
-            state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed },
+            state: if seed == 0 {
+                0x9E37_79B9_7F4A_7C15
+            } else {
+                seed
+            },
         }
     }
 
@@ -361,7 +368,9 @@ mod tests {
     use aim_isa::{Assembler, Reg};
 
     fn cfg(backend: BackendChoice) -> SimConfig {
-        SimConfig::machine(MachineClass::Baseline).backend(backend).build()
+        SimConfig::machine(MachineClass::Baseline)
+            .backend(backend)
+            .build()
     }
 
     fn loop_program_at(iters: i64, base: i64) -> (Program, Trace) {

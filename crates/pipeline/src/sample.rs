@@ -169,7 +169,11 @@ fn stratified_cycles(
         // Window 0's cold-start ramp retirements are already charged at
         // face value through `cold_cycles`, so they are not part of the
         // gap to interpolate.
-        let covered = if p == 0 { retired + cold_retired } else { retired };
+        let covered = if p == 0 {
+            retired + cold_retired
+        } else {
+            retired
+        };
         let gap = ((end - start).saturating_sub(covered)) as u128;
         let (r0, c0) = (retired as u128, cycles as u128);
         est += match windows.get(p + 1) {
@@ -348,7 +352,10 @@ impl Core<'_> {
         debug_assert!(self.rob.is_empty(), "warm engine requires a drained window");
         // Warm register writes below wake no one: nothing may wait.
         if self.checks_enabled() {
-            assert!(self.sched.is_idle(), "wake lists not empty across a warm stretch");
+            assert!(
+                self.sched.is_idle(),
+                "wake lists not empty across a warm stretch"
+            );
         }
         let mut lag: VecDeque<WarmOp> = VecDeque::with_capacity(WARM_LAG);
         let mut clock_acc: u64 = 0;
@@ -410,7 +417,11 @@ impl Core<'_> {
         } else {
             rec.mem_load.expect("load record has an access")
         };
-        let kind = if is_store { MemKind::Store } else { MemKind::Load };
+        let kind = if is_store {
+            MemKind::Store
+        } else {
+            MemKind::Load
+        };
 
         if lag.len() >= WARM_LAG {
             self.warm_retire_front(lag);

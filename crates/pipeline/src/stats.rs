@@ -419,7 +419,10 @@ mod tests {
         let s = SimStats::default();
         let text = format!("{s:?}");
         assert!(!text.contains("far"), "{text}");
-        assert!(text.contains("caches: ") && text.contains("host: "), "{text}");
+        assert!(
+            text.contains("caches: ") && text.contains("host: "),
+            "{text}"
+        );
         let with_far = SimStats {
             far: Some(FarStats {
                 accesses: 3,

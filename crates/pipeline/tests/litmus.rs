@@ -14,9 +14,7 @@
 use std::collections::BTreeSet;
 
 use aim_isa::{allowed_outcomes, litmus_suite, LitmusTest, RefLimits};
-use aim_pipeline::{
-    run_litmus, BackendChoice, CoreSchedule, MachineClass, SimConfig,
-};
+use aim_pipeline::{run_litmus, BackendChoice, CoreSchedule, MachineClass, SimConfig};
 
 const BACKENDS: [BackendChoice; 6] = [
     BackendChoice::NoSpec,
@@ -77,7 +75,11 @@ fn litmus_all_backends_all_schedules() {
     for test in litmus_suite() {
         for backend in BACKENDS {
             let seen = check_backend(&test, backend, n);
-            assert!(!seen.is_empty(), "{} on {backend:?} produced outcomes", test.name);
+            assert!(
+                !seen.is_empty(),
+                "{} on {backend:?} produced outcomes",
+                test.name
+            );
         }
     }
 }

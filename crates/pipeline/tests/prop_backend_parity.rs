@@ -16,7 +16,7 @@
 //! re-runs every recorded seed).
 
 use aim_isa::{Interpreter, Reg};
-use aim_pipeline::{BackendChoice, MachineClass, Machine, SimConfig};
+use aim_pipeline::{BackendChoice, Machine, MachineClass, SimConfig};
 use aim_workloads::stress::random_program;
 use proptest::prelude::*;
 
@@ -29,7 +29,9 @@ fn backend_configs() -> Vec<(&'static str, SimConfig)> {
         .map(|choice| {
             (
                 choice.token(),
-                SimConfig::machine(MachineClass::Baseline).backend(choice).build(),
+                SimConfig::machine(MachineClass::Baseline)
+                    .backend(choice)
+                    .build(),
             )
         })
         .collect()

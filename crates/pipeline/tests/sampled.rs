@@ -15,9 +15,7 @@
 //!   the baseline LSQ.
 
 use aim_isa::{Interpreter, Reg};
-use aim_pipeline::{
-    BackendChoice, FinalState, MachineClass, Machine, SimConfig, SimStats,
-};
+use aim_pipeline::{BackendChoice, FinalState, Machine, MachineClass, SimConfig, SimStats};
 use aim_types::SampleSpec;
 use aim_workloads::Scale;
 
@@ -92,10 +90,16 @@ fn assert_rate_close(kernel: &str, backend: &str, what: &str, full: f64, sampled
 /// exact.
 #[test]
 fn sampled_runs_converge_and_stay_architecturally_exact() {
-    let backends = [BackendChoice::SfcMdt, BackendChoice::Pcax, BackendChoice::Lsq];
+    let backends = [
+        BackendChoice::SfcMdt,
+        BackendChoice::Pcax,
+        BackendChoice::Lsq,
+    ];
     for workload in aim_workloads::all(Scale::Small) {
         let mut interp = Interpreter::new(&workload.program);
-        let trace = interp.run(10 * Scale::Small.target_instrs()).expect("golden run");
+        let trace = interp
+            .run(10 * Scale::Small.target_instrs())
+            .expect("golden run");
         assert!(trace.halted(), "{} must halt at Small", workload.name);
         let want_regs: Vec<u64> = (0..32).map(|i| interp.reg(Reg::new(i))).collect();
         let want_mem = interp.memory().nonzero_bytes();
@@ -126,7 +130,10 @@ fn sampled_runs_converge_and_stay_architecturally_exact() {
             let cov = samp.stats.sampled.expect("sampled coverage recorded");
             assert!(cov.warm_retired > 0, "{name}/{token}: no warm coverage");
             assert!(cov.detail_retired > 0, "{name}/{token}: no detail coverage");
-            assert!(full.stats.sampled.is_none(), "{name}/{token}: full run sampled");
+            assert!(
+                full.stats.sampled.is_none(),
+                "{name}/{token}: full run sampled"
+            );
 
             // Timing convergence.
             let (fi, si) = (full.stats.ipc(), samp.stats.ipc());
@@ -159,7 +166,9 @@ fn sampled_runs_converge_and_stay_architecturally_exact() {
 fn sampled_final_state_is_exact_for_every_backend() {
     let workload = aim_workloads::by_name("mcf", Scale::Tiny).expect("known kernel");
     let mut interp = Interpreter::new(&workload.program);
-    let trace = interp.run(10 * Scale::Tiny.target_instrs()).expect("golden run");
+    let trace = interp
+        .run(10 * Scale::Tiny.target_instrs())
+        .expect("golden run");
     assert!(trace.halted());
     let want_regs: Vec<u64> = (0..32).map(|i| interp.reg(Reg::new(i))).collect();
     let want_mem = interp.memory().nonzero_bytes();
@@ -187,7 +196,9 @@ fn sampled_final_state_is_exact_for_every_backend() {
 fn oversized_policies_degenerate_gracefully() {
     let workload = aim_workloads::by_name("gzip", Scale::Tiny).expect("known kernel");
     let mut interp = Interpreter::new(&workload.program);
-    let trace = interp.run(10 * Scale::Tiny.target_instrs()).expect("golden run");
+    let trace = interp
+        .run(10 * Scale::Tiny.target_instrs())
+        .expect("golden run");
     assert!(trace.halted());
     let want_regs: Vec<u64> = (0..32).map(|i| interp.reg(Reg::new(i))).collect();
 
@@ -203,7 +214,11 @@ fn oversized_policies_degenerate_gracefully() {
 
     // Oversized detail window: the whole run is one detail window, so the
     // "estimate" is the exact full-detail cycle count.
-    let full = run(&workload.program, &trace, config(BackendChoice::SfcMdt, None));
+    let full = run(
+        &workload.program,
+        &trace,
+        config(BackendChoice::SfcMdt, None),
+    );
     let mut cfg = config(BackendChoice::SfcMdt, None);
     cfg.sample = SampleSpec::new(1_000, 10_000_000, 3);
     let out = run(&workload.program, &trace, cfg);

@@ -55,7 +55,9 @@ fn wrong_path_stores_corrupt_but_never_leak() {
     asm.halt();
     let program = asm.assemble().unwrap();
 
-    let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    let mut cfg = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::All)
+        .build();
     cfg.oracle_fix_probability = 0.0; // raw gshare: plenty of wrong paths
     let stats = run(&program, &cfg);
     let sfc = *stats.backend.sfc().expect("SFC backend");
@@ -88,7 +90,9 @@ fn head_bypass_rescues_a_tiny_sfc() {
     asm.halt();
     let program = asm.assemble().unwrap();
 
-    let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    let mut cfg = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::All)
+        .build();
     if let BackendConfig::SfcMdt { sfc, .. } = &mut cfg.backend {
         sfc.sets = 1;
         sfc.ways = 1;
@@ -125,7 +129,9 @@ fn stalled_store_at_the_head_issues_by_exemption() {
     let program = asm.assemble().unwrap();
     let trace = Interpreter::new(&program).run(100_000).unwrap();
 
-    let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    let mut cfg = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::All)
+        .build();
     cfg.stall_bits = true;
     if let BackendConfig::SfcMdt { sfc, .. } = &mut cfg.backend {
         sfc.sets = 1;
@@ -149,7 +155,10 @@ fn stalled_store_at_the_head_issues_by_exemption() {
         .run_with(&mut probe)
         .expect("the head exemption keeps the machine live");
     assert_eq!(stats.retired, trace.len() as u64);
-    assert!(stats.replays.store_sfc_conflicts > 0, "the slow store must conflict");
+    assert!(
+        stats.replays.store_sfc_conflicts > 0,
+        "the slow store must conflict"
+    );
     assert!(
         probe.0 > 0,
         "a stall-bit store must issue from the head ({} head bypasses)",
@@ -219,14 +228,22 @@ fn no_pending_tag_survives_to_the_head() {
 
     let w = aim_workloads::by_name("vpr_route", aim_workloads::Scale::Tiny).unwrap();
     let trace = Interpreter::new(&w.program).run(1_000_000).unwrap();
-    let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::TotalOrder).build();
+    let cfg = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::TotalOrder)
+        .build();
     let mut model = TagModel::default();
     let stats = Machine::new(&w.program, &trace, cfg)
         .run_with(&mut model)
         .expect("validated");
     assert_eq!(stats.retired, trace.len() as u64);
-    assert!(model.consumers_waited > 0, "consumers must wait on pending tags");
-    assert_eq!(model.head_issues_pending, 0, "a pending tag reached the ROB head");
+    assert!(
+        model.consumers_waited > 0,
+        "consumers must wait on pending tags"
+    );
+    assert_eq!(
+        model.head_issues_pending, 0,
+        "a pending tag reached the ROB head"
+    );
 }
 
 /// Store-to-load forwarding latency: a dependent chain through memory is
@@ -247,7 +264,12 @@ fn forwarding_carries_a_memory_chain() {
     asm.halt();
     let program = asm.assemble().unwrap();
 
-    let stats = run(&program, &SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build());
+    let stats = run(
+        &program,
+        &SimConfig::machine(MachineClass::Baseline)
+            .mode(EnforceMode::All)
+            .build(),
+    );
     assert!(
         stats.loads_forwarded > 400,
         "the RMW chain must forward ({} forwards)",
@@ -263,11 +285,19 @@ fn simulations_terminate() {
     let w = aim_workloads::by_name("twolf", aim_workloads::Scale::Tiny).unwrap();
     let trace = Interpreter::new(&w.program).run(1_000_000).unwrap();
     for cfg in [
-        SimConfig::machine(MachineClass::Baseline).backend(BackendChoice::Lsq).build(),
-        SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build(),
-        SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build(),
+        SimConfig::machine(MachineClass::Baseline)
+            .backend(BackendChoice::Lsq)
+            .build(),
+        SimConfig::machine(MachineClass::Baseline)
+            .mode(EnforceMode::All)
+            .build(),
+        SimConfig::machine(MachineClass::Aggressive)
+            .mode(EnforceMode::TotalOrder)
+            .build(),
     ] {
-        let stats = Machine::new(&w.program, &trace, cfg).run().expect("no deadlock");
+        let stats = Machine::new(&w.program, &trace, cfg)
+            .run()
+            .expect("no deadlock");
         assert_eq!(stats.retired, trace.len() as u64);
     }
 }
@@ -298,7 +328,9 @@ fn branch_torture_validates() {
     asm.halt();
     let program = asm.assemble().unwrap();
 
-    let mut cfg = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::All).build();
+    let mut cfg = SimConfig::machine(MachineClass::Aggressive)
+        .mode(EnforceMode::All)
+        .build();
     cfg.oracle_fix_probability = 0.0;
     let stats = run(&program, &cfg);
     assert!(
@@ -311,7 +343,12 @@ fn branch_torture_validates() {
 #[test]
 fn stats_are_internally_consistent() {
     let w = aim_workloads::by_name("gcc", aim_workloads::Scale::Tiny).unwrap();
-    let stats = run(&w.program, &SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build());
+    let stats = run(
+        &w.program,
+        &SimConfig::machine(MachineClass::Baseline)
+            .mode(EnforceMode::All)
+            .build(),
+    );
     assert!(stats.fetched >= stats.dispatched);
     assert!(stats.dispatched >= stats.retired);
     assert!(stats.issued >= stats.retired);
@@ -333,7 +370,9 @@ fn stats_are_internally_consistent() {
 #[test]
 fn bounded_store_fifo_stalls_dispatch() {
     let w = aim_workloads::by_name("apsi", aim_workloads::Scale::Tiny).unwrap();
-    let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    let mut cfg = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::All)
+        .build();
     cfg.store_fifo_entries = 2;
     let stats = run(&w.program, &cfg);
     assert!(
@@ -376,7 +415,9 @@ fn coarse_granularity_causes_spurious_violations() {
     asm.halt();
     let program = asm.assemble().unwrap();
 
-    let fine = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::TrueOnly).build();
+    let fine = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::TrueOnly)
+        .build();
     let mut coarse = fine.clone();
     if let BackendConfig::SfcMdt { mdt, .. } = &mut coarse.backend {
         mdt.granularity = 64;
@@ -397,7 +438,9 @@ fn coarse_granularity_causes_spurious_violations() {
 #[test]
 fn flush_endpoints_reduce_corrupt_replays() {
     let w = aim_workloads::by_name("vpr_route", aim_workloads::Scale::Small).unwrap();
-    let bits = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
+    let bits = SimConfig::machine(MachineClass::Aggressive)
+        .mode(EnforceMode::TotalOrder)
+        .build();
     let mut endpoints = bits.clone();
     if let BackendConfig::SfcMdt { sfc, .. } = &mut endpoints.backend {
         sfc.corruption = aim_core::CorruptionPolicy::FlushEndpoints { capacity: 16 };
@@ -417,7 +460,9 @@ fn flush_endpoints_reduce_corrupt_replays() {
 #[test]
 fn xor_fold_hash_fixes_mcf() {
     let w = aim_workloads::by_name("mcf", aim_workloads::Scale::Small).unwrap();
-    let low = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
+    let low = SimConfig::machine(MachineClass::Aggressive)
+        .mode(EnforceMode::TotalOrder)
+        .build();
     let mut xor = low.clone();
     if let BackendConfig::SfcMdt { sfc, mdt } = &mut xor.backend {
         sfc.hash = aim_core::SetHash::XorFold;
@@ -440,9 +485,13 @@ fn xor_fold_hash_fixes_mcf() {
 fn pipeview_records_are_stage_monotone() {
     let w = aim_workloads::by_name("gzip", aim_workloads::Scale::Tiny).unwrap();
     let trace = Interpreter::new(&w.program).run(1_000_000).unwrap();
-    let cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    let cfg = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::All)
+        .build();
     let mut view = Pipeview::new(4096);
-    let stats = Machine::new(&w.program, &trace, cfg).run_with(&mut view).expect("validated");
+    let stats = Machine::new(&w.program, &trace, cfg)
+        .run_with(&mut view)
+        .expect("validated");
     let records = view.into_vec();
     assert_eq!(records.len() as u64, stats.retired.min(4096));
     for pair in records.windows(2) {
@@ -466,7 +515,9 @@ fn pipeview_records_are_stage_monotone() {
 #[test]
 fn search_filter_rescues_a_starved_mdt() {
     let w = aim_workloads::by_name("gcc", aim_workloads::Scale::Small).unwrap();
-    let mut base = SimConfig::machine(MachineClass::Aggressive).mode(EnforceMode::TotalOrder).build();
+    let mut base = SimConfig::machine(MachineClass::Aggressive)
+        .mode(EnforceMode::TotalOrder)
+        .build();
     if let BackendConfig::SfcMdt { mdt, .. } = &mut base.backend {
         mdt.sets = 16;
         mdt.ways = 1;
@@ -522,7 +573,9 @@ fn aggressive_true_dep_recovery_squashes_less() {
     asm.halt();
     let program = asm.assemble().unwrap();
 
-    let mut conservative = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::TrueOnly).build();
+    let mut conservative = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::TrueOnly)
+        .build();
     // Clear the predictor on every dispatch — training never sticks, so the
     // race recurs each iteration and the recovery policies differentiate.
     conservative.dep_predictor.clear_interval = 1;
@@ -584,7 +637,9 @@ fn paranoid_checks_survive_heavy_squashing() {
     asm.halt();
     let program = asm.assemble().unwrap();
 
-    let mut cfg = SimConfig::machine(MachineClass::Baseline).mode(EnforceMode::All).build();
+    let mut cfg = SimConfig::machine(MachineClass::Baseline)
+        .mode(EnforceMode::All)
+        .build();
     cfg.paranoid = true;
     cfg.mdt_filter = true; // the census check is live only with the filter on
     cfg.oracle_fix_probability = 0.0; // raw gshare: plenty of wrong paths

@@ -19,8 +19,8 @@ AIM_PACKAGES=(
   aim-examples
 )
 
-# aim-bench, aim-mem, aim-serve, aim-isa, aim-backend and aim-lsq are held
-# to rustfmt (the rest of the tree is not yet).
+# aim-bench, aim-mem, aim-serve, aim-isa, aim-backend, aim-lsq and
+# aim-pipeline are held to rustfmt (the rest of the tree is not yet).
 echo "== tier1: cargo fmt --check -p aim-bench =="
 cargo fmt --check -p aim-bench
 echo "== tier1: cargo fmt --check -p aim-mem =="
@@ -29,6 +29,8 @@ echo "== tier1: cargo fmt --check -p aim-serve =="
 cargo fmt --check -p aim-serve
 echo "== tier1: cargo fmt --check -p aim-isa -p aim-backend -p aim-lsq =="
 cargo fmt --check -p aim-isa -p aim-backend -p aim-lsq
+echo "== tier1: cargo fmt --check -p aim-pipeline =="
+cargo fmt --check -p aim-pipeline
 
 echo "== tier1: cargo build --release =="
 cargo build --release
