@@ -35,9 +35,10 @@
 //! Sampled-simulation mode adds one more call pattern to the contract: at a
 //! detail-window boundary the pipeline squashes everything unretired, drops
 //! the backend's in-flight state with [`flush`](MemBackend::flush), and then
-//! *functionally warms* the backend — program-order dispatch/execute/retire
-//! through a bounded in-flight lag — before the next detail window resumes
-//! out-of-order execution against the warmed state.
+//! *functionally warms* a stretch — committing it to memory in program order
+//! and reporting each op to the backend through [`MemBackend::warm`] alone —
+//! before the next detail window resumes out-of-order execution against the
+//! warmed state.
 //! [`run_script_with_handoffs`] / [`check_handoff_contract`] script exactly
 //! that sequence mid-trace, with speculative work deliberately left in
 //! flight at each quiesce.
@@ -149,16 +150,6 @@ const STALL_LIMIT: u64 = 1_000;
 /// violation/squash cycle) must terminate, as a diagnosable error rather than
 /// a hang.
 const ROUNDS_PER_OP: u64 = 2_000;
-
-/// In-flight window of the functional-warm protocol — the same bounded lag
-/// the pipeline's warm engine keeps (`aim-pipeline`'s `sample` module) so
-/// retirement trails execution and the backend's structures see realistic
-/// residency.
-const WARM_LAG: usize = 8;
-
-/// Consecutive `Replay`s tolerated per warm op before the driver declares
-/// the backend unable to make program-order progress.
-const WARM_RETRY_LIMIT: u32 = 64;
 
 /// A per-round interference hook standing in for a sibling core: called
 /// with the (1-based) round number and the committed memory, it may write
@@ -620,39 +611,13 @@ impl<'a> Driver<'a> {
         Ok(())
     }
 
-    /// Retires the oldest in-flight warm op: stores commit their bytes
-    /// before `retire_store`, loads record their (final — nothing younger
-    /// can squash a warm op) observed value.
-    fn warm_retire_front(&mut self, lag: &mut std::collections::VecDeque<(usize, SeqNum, u64)>) {
-        let Some((i, seq, value)) = lag.pop_front() else {
-            return;
-        };
-        let op = self.script.ops[i];
-        match op.kind {
-            MemKind::Store => {
-                self.mem.write(op.access, value);
-                self.backend.retire_store(seq, op.access);
-            }
-            MemKind::Load => {
-                let load_idx = self.script.ops[..i]
-                    .iter()
-                    .filter(|o| o.kind == MemKind::Load)
-                    .count();
-                self.out.load_values[load_idx] = value;
-                self.backend.retire_load(seq, op.access);
-            }
-        }
-        self.states[i] = OpState::Retired(seq);
-    }
-
-    /// Functionally warms ops `range` in program order through the
-    /// warm-engine protocol: bounded [`WARM_LAG`] in-flight window,
-    /// drain-on-refused-dispatch, replay→retire-oldest retry, and the §2.2
-    /// head bypass once nothing older is in flight. Program-order execution
-    /// can never misspeculate, so a violation or anti outcome here is a
-    /// contract breach, not a recovery.
+    /// Functionally warms ops `range` through the warm engine's protocol:
+    /// in program order, stores commit their bytes and loads read committed
+    /// memory (their final observed value — nothing can squash a warm op),
+    /// and the backend hears each op through [`MemBackend::warm`] alone.
+    /// Each op takes a fresh sequence number for the driver's own retirement
+    /// bookkeeping; the backend never sees it.
     fn warm_range(&mut self, range: std::ops::Range<usize>) -> Result<(), ConformanceError> {
-        let mut lag = std::collections::VecDeque::new();
         for i in range {
             if matches!(self.states[i], OpState::Retired(_)) {
                 return Err(ConformanceError(format!(
@@ -660,97 +625,19 @@ impl<'a> Driver<'a> {
                 )));
             }
             let op = self.script.ops[i];
-            if lag.len() >= WARM_LAG {
-                self.warm_retire_front(&mut lag);
-            }
-            while self.backend.can_dispatch(op.kind).is_err() {
-                if lag.is_empty() {
-                    return Err(ConformanceError(format!(
-                        "warm dispatch refused with nothing in flight (op {i})"
-                    )));
+            match op.kind {
+                MemKind::Store => self.mem.write(op.access, op.value),
+                MemKind::Load => {
+                    let load_idx = self.script.ops[..i]
+                        .iter()
+                        .filter(|o| o.kind == MemKind::Load)
+                        .count();
+                    self.out.load_values[load_idx] = self.mem.read(op.access);
                 }
-                self.warm_retire_front(&mut lag);
             }
-            let seq = SeqNum(self.next_seq);
+            self.backend.warm(op.kind, Self::pc(i), op.access);
+            self.states[i] = OpState::Retired(SeqNum(self.next_seq));
             self.next_seq += 1;
-            let hint = (op.kind == MemKind::Store && self.backend.wants_dispatch_hint())
-                .then_some(op.access);
-            self.backend.dispatch(op.kind, seq, Self::pc(i), hint);
-            self.states[i] = OpState::Dispatched(seq);
-
-            let mut retries = 0u32;
-            let value = loop {
-                let floor = lag.front().map_or(seq, |&(_, q, _)| q);
-                let bypass = retries > 0 && lag.is_empty() && self.backend.supports_head_bypass();
-                match op.kind {
-                    MemKind::Store => {
-                        let req = StoreRequest {
-                            seq,
-                            pc: Self::pc(i),
-                            access: op.access,
-                            value: op.value,
-                            floor,
-                            bypass,
-                        };
-                        match self.backend.store_execute(&req, &self.mem) {
-                            StoreOutcome::Done { violations, .. } => {
-                                if !violations.is_empty() {
-                                    return Err(ConformanceError(format!(
-                                        "program-order warm store raised ordering \
-                                         violations (op {i})"
-                                    )));
-                                }
-                                if bypass {
-                                    // A bypassed store commits at execute so
-                                    // younger warm loads read current memory.
-                                    self.mem.write(op.access, op.value);
-                                }
-                                break op.value;
-                            }
-                            StoreOutcome::Replay(_) => self.out.replays += 1,
-                        }
-                    }
-                    MemKind::Load => {
-                        if bypass {
-                            break self.mem.read(op.access);
-                        }
-                        let req = LoadRequest {
-                            seq,
-                            pc: Self::pc(i),
-                            access: op.access,
-                            floor,
-                            filtered: false,
-                        };
-                        match self.backend.load_execute(&req, &self.mem) {
-                            LoadOutcome::Done { value, .. } => break value,
-                            LoadOutcome::Replay(_) => self.out.replays += 1,
-                            LoadOutcome::Anti(_) => {
-                                return Err(ConformanceError(format!(
-                                    "program-order warm load raised an anti \
-                                     violation (op {i})"
-                                )));
-                            }
-                        }
-                    }
-                }
-                if !lag.is_empty() {
-                    self.warm_retire_front(&mut lag);
-                }
-                retries += 1;
-                if retries > WARM_RETRY_LIMIT {
-                    return Err(ConformanceError(format!(
-                        "warm op {i} still replayed after {WARM_RETRY_LIMIT} retries"
-                    )));
-                }
-            };
-            self.states[i] = OpState::Executed(seq, value);
-            self.exec_successes += 1;
-            lag.push_back((i, seq, value));
-        }
-        // The warm engine drains its lag before handing the machine back to
-        // the detail pipeline: everything warmed is retired state.
-        while !lag.is_empty() {
-            self.warm_retire_front(&mut lag);
         }
         Ok(())
     }
@@ -803,10 +690,8 @@ pub fn run_script_with_interference(
 ///
 /// # Errors
 ///
-/// Everything [`run_script`] can report, plus breaches specific to the
-/// handoff contract: a warm-stretch op that violates, replays beyond the
-/// retry budget, or refuses dispatch on an empty machine, and a malformed
-/// (unsorted / overlapping) plan.
+/// Everything [`run_script`] can report, plus a malformed (unsorted /
+/// overlapping) plan.
 pub fn run_script_with_handoffs(
     backend: &mut dyn MemBackend,
     script: &Script,

@@ -436,6 +436,11 @@ pub fn build(params: &BackendParams) -> Box<dyn MemBackend + Send> {
 /// the survivor. Squashed instructions get no retire call and may never see
 /// a (re-)execute call.
 ///
+/// Sampled mode adds one more pattern: between detail windows (after a
+/// [`flush`](MemBackend::flush)) the functional warm engine commits each
+/// memory instruction itself and reports it through
+/// [`warm`](MemBackend::warm) alone — no dispatch, execute or retire.
+///
 /// Sub-word accesses carry their byte mask inside [`MemAccess`]; backends
 /// must forward and disambiguate at byte granularity (a 1-byte store
 /// overlapping an 8-byte load is a forwarding source for exactly that byte).
@@ -545,6 +550,15 @@ pub trait MemBackend {
     /// `access` instead of flushing. No-op for backends without a
     /// forwarding cache.
     fn mark_corrupt(&mut self, _access: MemAccess) {}
+
+    /// Sampled mode's functional warm engine retired the memory instruction
+    /// at `pc` in program order, without dispatching it (a store's bytes
+    /// are already committed). Warm stretches drain before every detail
+    /// window, so in-flight structures (SFC, MDT, queues, filters) have
+    /// nothing to learn from them; only state that outlives a window — a
+    /// PC-indexed prediction table — should train here. Bumps no counters:
+    /// backend statistics describe the detailed windows. No-op by default.
+    fn warm(&mut self, _kind: MemKind, _pc: u64, _access: MemAccess) {}
 }
 
 /// Resolves the value `access` would read given a program-ordered iterator

@@ -28,13 +28,19 @@
 //! the table — a true-dependence violation installs a forward prediction
 //! for the violating load's PC, a clean unpredicted retire strengthens
 //! no-alias confidence, and mispredictions decay it.
+//!
+//! The table is the one piece of this backend that outlives an in-flight
+//! window, so it is also what sampled mode's functional warm engine trains
+//! ([`MemBackend::warm`]): each warm load resolves its prediction against
+//! the warm stores among the last `WARM_WINDOW` memory operations, the
+//! stores a detailed pipeline would still hold in flight.
 
 use std::collections::VecDeque;
 
 use aim_core::TableGeometry;
 use aim_mem::MainMemory;
 use aim_predictor::PcTable;
-use aim_types::{MemAccess, SeqNum, ViolationKind};
+use aim_types::{ByteMask, MemAccess, SeqNum, ViolationKind};
 
 use crate::aim::{AimBackend, AimStats};
 use crate::{
@@ -46,6 +52,9 @@ use crate::{
 pub const MAX_CONF: u8 = 3;
 /// Confidence installed by a true-dependence violation.
 const FORWARD_INSTALL: u8 = 2;
+/// Memory operations before a warm load whose stores count as in flight —
+/// the forwarding and veto window warm training resolves predictions in.
+const WARM_WINDOW: u64 = 7;
 
 /// Geometry and confidence thresholds of the PCAX classification table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,6 +243,11 @@ pub struct PcaxBackend {
     loads: VecDeque<InflightLoad>,
     /// Dispatched, unretired stores in program order.
     stores: VecDeque<InflightStore>,
+    /// Warm stores inside the `WARM_WINDOW`, oldest first, each with its
+    /// position in the warm memory-operation stream.
+    warm_stores: VecDeque<(u64, MemAccess)>,
+    /// Warm memory operations seen.
+    warm_ops: u64,
     stats: PcaxPredStats,
 }
 
@@ -252,25 +266,33 @@ impl PcaxBackend {
             table: PcTable::tagged(config.table),
             loads: VecDeque::new(),
             stores: VecDeque::new(),
+            warm_stores: VecDeque::new(),
+            warm_ops: 0,
             stats: PcaxPredStats::default(),
         }
     }
 
-    fn classify(&mut self, pc: u64) -> PredClass {
+    /// The acted-on prediction for a load at `pc`.
+    fn predict(&self, pc: u64) -> PredClass {
         match self.table.get(pc) {
             Some(PredEntry::NoAlias { conf }) if *conf >= self.config.no_alias_act => {
-                self.stats.loads_no_alias += 1;
                 PredClass::NoAlias
             }
             Some(PredEntry::Forward { store_pc, conf }) if *conf >= self.config.forward_act => {
-                self.stats.loads_forward += 1;
                 PredClass::Forward(*store_pc)
             }
-            _ => {
-                self.stats.loads_unknown += 1;
-                PredClass::Unknown
-            }
+            _ => PredClass::Unknown,
         }
+    }
+
+    fn classify(&mut self, pc: u64) -> PredClass {
+        let class = self.predict(pc);
+        match class {
+            PredClass::NoAlias => self.stats.loads_no_alias += 1,
+            PredClass::Forward(_) => self.stats.loads_forward += 1,
+            PredClass::Unknown => self.stats.loads_unknown += 1,
+        }
+        class
     }
 
     fn weaken_no_alias(&mut self, pc: u64) {
@@ -279,32 +301,39 @@ impl PcaxBackend {
         }
     }
 
-    /// Finalizes one load's prediction at retirement (training).
+    /// Finalizes one load's prediction at retirement: counts the outcome
+    /// and trains the table.
     fn train_on_retire(&mut self, rec: InflightLoad) {
-        match rec.class {
+        let s = &mut self.stats;
+        match (rec.class, rec.vetoed, rec.forwarded) {
+            (PredClass::NoAlias, true, _) => s.no_alias_vetoed += 1,
+            (PredClass::NoAlias, false, _) => s.no_alias_correct += 1,
+            (PredClass::Forward(_), _, true) => s.forward_hits += 1,
+            (PredClass::Forward(_), _, false) => s.forward_misses += 1,
+            (PredClass::Unknown, ..) => {}
+        }
+        self.train(rec.pc, rec.class, rec.vetoed, rec.forwarded);
+    }
+
+    /// Trains the table on one resolved load at `pc`: whether its no-alias
+    /// skip was `vetoed` and whether its value was fully `forwarded`.
+    fn train(&mut self, pc: u64, class: PredClass, vetoed: bool, forwarded: bool) {
+        match class {
             PredClass::NoAlias => {
-                if rec.vetoed {
-                    self.stats.no_alias_vetoed += 1;
-                    self.weaken_no_alias(rec.pc);
-                } else {
-                    self.stats.no_alias_correct += 1;
-                    if let Some(PredEntry::NoAlias { conf }) = self.table.get_mut(rec.pc) {
-                        *conf = (*conf + 1).min(MAX_CONF);
-                    }
+                if vetoed {
+                    self.weaken_no_alias(pc);
+                } else if let Some(PredEntry::NoAlias { conf }) = self.table.get_mut(pc) {
+                    *conf = (*conf + 1).min(MAX_CONF);
                 }
             }
             PredClass::Forward(_) => {
-                if rec.forwarded {
-                    self.stats.forward_hits += 1;
-                    if let Some(PredEntry::Forward { conf, .. }) = self.table.get_mut(rec.pc) {
+                if let Some(PredEntry::Forward { conf, .. }) = self.table.get_mut(pc) {
+                    if forwarded {
                         *conf = (*conf + 1).min(MAX_CONF);
-                    }
-                } else {
-                    self.stats.forward_misses += 1;
-                    if let Some(PredEntry::Forward { conf, .. }) = self.table.get_mut(rec.pc) {
+                    } else {
                         *conf = conf.saturating_sub(1);
                         if *conf == 0 {
-                            self.table.remove(rec.pc);
+                            self.table.remove(pc);
                         }
                     }
                 }
@@ -314,11 +343,11 @@ impl PcaxBackend {
                 // more makes the prediction act. Forwarded unknowns learn
                 // nothing here — forward predictions come from violations,
                 // which carry the producer's PC.
-                if !rec.forwarded {
-                    match self.table.get_mut(rec.pc) {
+                if !forwarded {
+                    match self.table.get_mut(pc) {
                         Some(PredEntry::NoAlias { conf }) => *conf = (*conf + 1).min(MAX_CONF),
                         Some(PredEntry::Forward { .. }) => {}
-                        None => self.table.insert(rec.pc, PredEntry::NoAlias { conf: 1 }),
+                        None => self.table.insert(pc, PredEntry::NoAlias { conf: 1 }),
                     }
                 }
             }
@@ -499,6 +528,7 @@ impl MemBackend for PcaxBackend {
     fn flush(&mut self) {
         self.loads.clear();
         self.stores.clear();
+        self.warm_stores.clear();
         self.inner.flush();
     }
 
@@ -539,6 +569,34 @@ impl MemBackend for PcaxBackend {
 
     fn mark_corrupt(&mut self, access: MemAccess) {
         self.inner.mark_corrupt(access);
+    }
+
+    /// Trains the table as a retirement would, with the warm stores inside
+    /// the `WARM_WINDOW` standing in for the in-flight stores: one to the
+    /// load's MDT granule vetoes a no-alias skip, and those covering every
+    /// byte of the load forward it.
+    fn warm(&mut self, kind: MemKind, pc: u64, access: MemAccess) {
+        self.warm_ops += 1;
+        while matches!(self.warm_stores.front(), Some(&(op, _)) if op + WARM_WINDOW < self.warm_ops)
+        {
+            self.warm_stores.pop_front();
+        }
+        if kind == MemKind::Store {
+            self.warm_stores.push_back((self.warm_ops, access));
+            return;
+        }
+        let class = self.predict(pc);
+        let granularity = self.inner.mdt.config().granularity;
+        let granule = access.addr().0 / granularity;
+        let in_flight = self.warm_stores.iter().map(|&(_, s)| s);
+        let vetoed = class == PredClass::NoAlias
+            && in_flight
+                .clone()
+                .any(|s| s.addr().0 / granularity == granule);
+        let covered = in_flight
+            .filter(|s| s.word_addr() == access.word_addr())
+            .fold(ByteMask::EMPTY, |m, s| m | s.mask());
+        self.train(pc, class, vetoed, covered.covers(access.mask()));
     }
 }
 
@@ -755,6 +813,45 @@ mod tests {
         b.flush();
         b.dispatch(MemKind::Load, SeqNum(50), 0x10, None);
         assert_eq!(stats(&b).pred.loads_unknown, 3);
+    }
+
+    #[test]
+    fn warm_loads_without_an_aliasing_store_train_no_alias() {
+        let mut b = backend();
+        b.warm(MemKind::Store, 0x50, d(0x500));
+        for _ in 0..2 {
+            b.warm(MemKind::Load, 0x10, d(0x900));
+        }
+        // Warm training bumps no counters and leaves no in-flight state.
+        assert_eq!(stats(&b).pred, PcaxPredStats::default());
+        assert_eq!(stats(&b).aim.mdt.load_checks, 0);
+        assert!(b.loads.is_empty() && b.stores.is_empty());
+        // The next detailed instance acts on the warmed prediction.
+        b.dispatch(MemKind::Load, SeqNum(1), 0x10, None);
+        assert_eq!(stats(&b).pred.loads_no_alias, 1);
+    }
+
+    #[test]
+    fn warm_loads_fed_by_a_recent_warm_store_gain_no_confidence() {
+        let mut b = backend();
+        for _ in 0..2 {
+            b.warm(MemKind::Store, 0x50, d(0x900));
+            b.warm(MemKind::Load, 0x10, d(0x900));
+        }
+        b.dispatch(MemKind::Load, SeqNum(1), 0x10, None);
+        assert_eq!(stats(&b).pred.loads_unknown, 1);
+        // A store older than the window no longer counts as in flight: it
+        // feeds the next WARM_WINDOW operations, not the two after them.
+        b.flush();
+        b.warm(MemKind::Store, 0x50, d(0x900));
+        for _ in 0..WARM_WINDOW {
+            b.warm(MemKind::Load, 0x20, d(0x900));
+        }
+        for _ in 0..2 {
+            b.warm(MemKind::Load, 0x10, d(0x900));
+        }
+        b.dispatch(MemKind::Load, SeqNum(2), 0x10, None);
+        assert_eq!(stats(&b).pred.loads_no_alias, 1);
     }
 
     #[test]

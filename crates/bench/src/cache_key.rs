@@ -34,7 +34,7 @@ use core::fmt;
 /// that change the `table_hostperf` stats fingerprint, which
 /// `scripts/tier1.sh` pins. Stale entries are then simply never found,
 /// which is the only safe failure mode.
-pub const CODE_VERSION: &str = "aim-sim-2026-08/1";
+pub const CODE_VERSION: &str = "aim-sim-2026-10/2";
 
 /// A 128-bit content address: two independent FNV-1a streams over the same
 /// key text. One 64-bit hash leaves accidental collisions plausible over

@@ -38,8 +38,8 @@ pub const SAMPLE_DETAIL_DIVISOR: u64 = 32;
 /// that ended early. On the huge/far-memory configuration this policy
 /// holds every committed kernel within ±7% of full-detail IPC (see
 /// `EXPERIMENTS.md` T-SAMPLE). Its wall-clock speedup falls short of the
-/// 10× floor: `aim-bench sampled --scale huge --jobs 1` measured 4.8×
-/// (24.0 s full detail, 5.0 s sampled) on a shared 2-vCPU Intel Xeon,
+/// 10× floor: `aim-bench sampled --scale huge --jobs 1` measured 8.1×
+/// (13.7 s full detail, 1.7 s sampled) on a shared 2-vCPU Intel Xeon,
 /// because the warm engine, not the detailed machine, dominates a sampled
 /// run (ROADMAP item 2).
 pub fn sampled_policy(trace_len: u64) -> SampleSpec {

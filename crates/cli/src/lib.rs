@@ -241,6 +241,7 @@ RUN OPTIONS (run, compare, asm):
   --trace N                       print the last N pipeline events
   --pipeview N                    draw stage timelines for the last N retirements
   --stage-times                   print host ns per cycle spent in each pipeline stage
+                                  (sampled runs: warm ns per instruction and MIPS)
   --jobs N                        worker threads for compare sweeps [AIM_JOBS/auto]
   --paranoid                      run the release-build integrity checks every cycle
 

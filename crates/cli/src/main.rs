@@ -47,7 +47,8 @@ fn run_program(name: &str, program: &aim_isa::Program, args: &RunArgs) -> Result
         print!("{}", pipeview::render(&records, 64));
     }
     if let Some(times) = times {
-        print!("{}", times.render());
+        let warm_retired = stats.sampled.map_or(0, |s| s.warm_retired);
+        print!("{}", times.render(warm_retired));
     }
     Ok(())
 }

@@ -173,7 +173,8 @@ impl<P: Probe> Probe for Option<P> {
 /// let stats = Machine::new(&program, &trace, cfg).run_with(&mut times).unwrap();
 /// assert_eq!(times.cycles(), stats.cycles);
 /// assert_eq!(times.ns(Stage::Warm), 0, "an unsampled run has no warm stretch");
-/// assert!(times.render().contains("issue"));
+/// let table = times.render(0);
+/// assert!(table.contains("issue") && !table.contains("warm"));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StageTimes {
@@ -198,10 +199,14 @@ impl StageTimes {
         self.cycles
     }
 
-    /// A table of each stage's ns per detailed cycle and share of the
-    /// total; the warm line only for a sampled run.
-    pub fn render(&self) -> String {
+    /// A table of each detail stage's ns per detailed cycle and share of
+    /// the total. A sampled run, whose functional warm engine retired
+    /// `warm_retired` instructions (`SimStats::sampled`), adds a warm line
+    /// in ns per warm instruction and warm MIPS instead: the warm engine
+    /// steps no cycles.
+    pub fn render(&self, warm_retired: u64) -> String {
         let total: u64 = self.ns.iter().sum();
+        let share = |ns: u64| 100.0 * ns as f64 / total.max(1) as f64;
         let cycles = self.cycles.max(1) as f64;
         let mut out = format!(
             "-- host time per stage ({} cycles, {:.3} s) --\n{:<10}{:>12}{:>9}\n",
@@ -213,16 +218,25 @@ impl StageTimes {
         );
         for stage in Stage::ALL {
             let ns = self.ns(stage);
-            if ns == 0 && stage == Stage::Warm {
-                continue;
+            if stage != Stage::Warm {
+                let _ = writeln!(
+                    out,
+                    "{:<10}{:>12.1}{:>8.1}%",
+                    stage.name(),
+                    ns as f64 / cycles,
+                    share(ns)
+                );
+            } else if ns > 0 {
+                let _ = writeln!(
+                    out,
+                    "{:<10}{:>12.1}{:>8.1}%  ns/inst: {warm_retired} instructions at \
+                     {:.1} MIPS",
+                    stage.name(),
+                    ns as f64 / warm_retired.max(1) as f64,
+                    share(ns),
+                    warm_retired as f64 * 1e3 / ns as f64
+                );
             }
-            let _ = writeln!(
-                out,
-                "{:<10}{:>12.1}{:>8.1}%",
-                stage.name(),
-                ns as f64 / cycles,
-                100.0 * ns as f64 / total.max(1) as f64
-            );
         }
         out
     }
@@ -280,5 +294,27 @@ pub type EventLog = Ring<String>;
 impl Probe for EventLog {
     fn event(&mut self, cycle: u64, event: &Event<'_>) {
         self.push(|| format!("{cycle:>8}  {event}"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn warm_row_reads_per_warm_instruction() {
+        let mut times = StageTimes::new();
+        times.cycles = 1_000;
+        times.ns[Stage::Issue as usize] = 500_000;
+        times.ns[Stage::Warm as usize] = 2_000_000;
+        let table = times.render(100_000);
+        // Detail stages per detailed cycle; warm per warm instruction.
+        assert!(table.contains("issue            500.0    20.0%"), "{table}");
+        assert!(
+            table.contains(
+                "warm              20.0    80.0%  ns/inst: 100000 instructions at 50.0 MIPS"
+            ),
+            "{table}"
+        );
     }
 }

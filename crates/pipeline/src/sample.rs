@@ -26,14 +26,14 @@
 //!   same oracle repair draw the detailed front end makes;
 //! * the architectural register file is kept current through the retired
 //!   rename map, so a detailed window starts from exact state;
-//! * the memory backend sees its full dispatch → execute → retire call
-//!   contract in program order, with a small *lag queue* (`WARM_LAG`
-//!   entries) between execute and retirement so stores stay in flight long
-//!   enough for store-to-load forwarding — and therefore SFC, MDT, and PCAX
-//!   classification training — to behave realistically. Replays drain the
-//!   lag queue and retry, mirroring the detailed scheduler; a replay that
-//!   persists with nothing older in flight takes the §2.2 head-of-ROB
-//!   bypass, exactly as the detailed pipeline would.
+//! * loads read committed memory and stores commit to it through
+//!   [`CoreMemSys::commit_store`](aim_mem::CoreMemSys::commit_store), in
+//!   program order, so memory is always current;
+//! * the memory backend hears each memory instruction only through
+//!   [`MemBackend::warm`](aim_backend::MemBackend::warm). Its SFC, MDT,
+//!   queues and filters hold in-flight state that a drained warm stretch
+//!   cannot teach (the functional-warming split of SMARTS); a PC-indexed
+//!   prediction table — PCAX's — is long-lived and trains there.
 //!
 //! Because the warm engine executes in program order from architectural
 //! values, it can never mis-speculate: architectural state (and therefore
@@ -57,26 +57,13 @@
 //! Multi-core runs ([`crate::MultiMachine`]) schedule cores cycle by cycle
 //! and ignore the sampling policy.
 
-use std::collections::VecDeque;
-
-use aim_backend::{LoadOutcome, LoadRequest, MemKind, StoreOutcome, StoreRequest};
+use aim_backend::MemKind;
 use aim_isa::Retired;
-use aim_types::{MemAccess, SeqNum};
+use aim_types::SeqNum;
 
 use crate::machine::{Core, SimError};
 use crate::probe::{Probe, Stage};
 use crate::stats::SampledStats;
-
-/// Memory operations held in flight between warm execute and warm (lagged)
-/// retirement, so stores forward to nearby loads during warm-up.
-const WARM_LAG: usize = 8;
-
-/// Bound on execute-replay retries for one warm memory operation. Each
-/// retry first retires the oldest in-flight operation (freeing whatever
-/// backend capacity caused the replay) and the head-of-ROB bypass catches
-/// the drained-empty case, so hitting this bound means a backend contract
-/// violation, not a slow program.
-const WARM_RETRY_LIMIT: u32 = 64;
 
 /// Unmeasured detailed warm-up (pipeline fill) at the head of each detail
 /// window: the first `min(detail_insts / RAMP_DIVISOR, ramp_cap)`
@@ -125,14 +112,6 @@ fn window_jitter(period: u32) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A warm-engine memory operation between execute and lagged retirement.
-struct WarmOp {
-    seq: SeqNum,
-    access: MemAccess,
-    value: u64,
-    is_store: bool,
 }
 
 /// Stratified whole-run cycle estimate.
@@ -330,8 +309,8 @@ impl Core<'_> {
     }
 
     /// Runs the functional warm engine until `target` instructions have
-    /// retired (architecturally), draining the lag queue at the end so the
-    /// next detail window starts with nothing in flight.
+    /// retired (architecturally); nothing is left in flight for the next
+    /// detail window.
     ///
     /// `cpi_fp` paces the warm clock in 1/[`CPI_FP_ONE`]-cycle fixed-point
     /// steps per instruction. The hierarchy's timing-dependent state — far
@@ -357,7 +336,6 @@ impl Core<'_> {
                 "wake lists not empty across a warm stretch"
             );
         }
-        let mut lag: VecDeque<WarmOp> = VecDeque::with_capacity(WARM_LAG);
         let mut clock_acc: u64 = 0;
         // The detailed front end touches the I-cache once per fetch group,
         // not once per instruction, so straight-line code inside one line
@@ -389,182 +367,35 @@ impl Core<'_> {
                     self.renamer.write(p, value);
                 }
             }
-            if rec.instr.is_load() || rec.instr.is_store() {
-                self.warm_mem_op(&mut lag, &rec)?;
-            }
-            self.stats.retired += 1;
-            if rec.instr.is_load() {
+            if let Some((access, _)) = rec.mem_load {
+                let value = self.memsys.read(access);
+                let _ = self.memsys.access_data_at(access.addr(), self.cycle);
+                self.warm_validate_load(&rec, value)?;
+                self.backend.warm(MemKind::Load, rec.pc, access);
                 self.stats.retired_loads += 1;
-            } else if rec.instr.is_store() {
+            } else if let Some((access, value)) = rec.mem_store {
+                let _ = self.memsys.commit_store(access, value, self.cycle);
+                self.backend.warm(MemKind::Store, rec.pc, access);
                 self.stats.retired_stores += 1;
             }
+            self.stats.retired += 1;
             coverage.warm_retired += 1;
-        }
-        while !lag.is_empty() {
-            self.warm_retire_front(&mut lag);
         }
         self.last_retire_cycle = self.cycle;
         Ok(())
     }
 
-    /// Drives one architectural memory operation through the backend's full
-    /// dispatch → execute contract, with lagged retirement and the detailed
-    /// pipeline's replay-then-bypass discipline.
-    fn warm_mem_op(&mut self, lag: &mut VecDeque<WarmOp>, rec: &Retired) -> Result<(), SimError> {
-        let is_store = rec.instr.is_store();
-        let (access, arch_value) = if is_store {
-            rec.mem_store.expect("store record has an access")
-        } else {
-            rec.mem_load.expect("load record has an access")
-        };
-        let kind = if is_store {
-            MemKind::Store
-        } else {
-            MemKind::Load
-        };
-
-        if lag.len() >= WARM_LAG {
-            self.warm_retire_front(lag);
-        }
-        while self.backend.can_dispatch(kind).is_err() {
-            if lag.is_empty() {
-                return Err(SimError::Deadlock(format!(
-                    "warm dispatch refused with nothing in flight at pc {}",
-                    rec.pc
-                )));
-            }
-            self.warm_retire_front(lag);
-        }
-        let seq = SeqNum(self.next_seq);
-        self.next_seq += 1;
-        let hint = (is_store && self.backend.wants_dispatch_hint()).then_some(access);
-        self.backend.dispatch(kind, seq, rec.pc, hint);
-
-        let mut retries = 0u32;
-        loop {
-            let floor = lag.front().map_or(seq, |o| o.seq);
-            // §2.2 head-of-ROB bypass, warm flavor: nothing older is in
-            // flight and the backend already refused once, so committed
-            // memory is current and the conflict-prone structures may be
-            // skipped — exactly the detailed pipeline's escape hatch.
-            let bypass = retries > 0 && lag.is_empty() && self.backend.supports_head_bypass();
-            if is_store {
-                let req = StoreRequest {
-                    seq,
-                    pc: rec.pc,
-                    access,
-                    value: arch_value,
-                    floor,
-                    bypass,
-                };
-                let outcome = self.backend.store_execute(&req, self.memsys.mem());
-                match outcome {
-                    StoreOutcome::Done { violations, .. } => {
-                        debug_assert!(
-                            violations.is_empty(),
-                            "program-order warm store raised ordering violations"
-                        );
-                        if bypass {
-                            // Mirror the detailed bypass: commit immediately
-                            // so younger warm loads read current memory.
-                            self.memsys.write(access, arch_value);
-                        }
-                        lag.push_back(WarmOp {
-                            seq,
-                            access,
-                            value: arch_value,
-                            is_store,
-                        });
-                        return Ok(());
-                    }
-                    StoreOutcome::Replay(_) => {}
-                }
-            } else if bypass {
-                let value = self.memsys.read(access);
-                let _ = self.memsys.access_data_at(access.addr(), self.cycle);
-                self.warm_validate_load(rec, access, value)?;
-                lag.push_back(WarmOp {
-                    seq,
-                    access,
-                    value,
-                    is_store,
-                });
-                return Ok(());
-            } else {
-                let req = LoadRequest {
-                    seq,
-                    pc: rec.pc,
-                    access,
-                    floor,
-                    filtered: false,
-                };
-                let outcome = self.backend.load_execute(&req, self.memsys.mem());
-                match outcome {
-                    LoadOutcome::Done { value, .. } => {
-                        let _ = self.memsys.access_data_at(access.addr(), self.cycle);
-                        self.warm_validate_load(rec, access, value)?;
-                        lag.push_back(WarmOp {
-                            seq,
-                            access,
-                            value,
-                            is_store,
-                        });
-                        return Ok(());
-                    }
-                    LoadOutcome::Replay(_) => {}
-                    LoadOutcome::Anti(_) => {
-                        return Err(SimError::Validation(format!(
-                            "program-order warm load at pc {} raised an anti violation",
-                            rec.pc
-                        )));
-                    }
-                }
-            }
-            // Replayed: retire the oldest in-flight operation (freeing the
-            // structure that refused) and retry.
-            if !lag.is_empty() {
-                self.warm_retire_front(lag);
-            }
-            retries += 1;
-            if retries > WARM_RETRY_LIMIT {
-                return Err(SimError::Deadlock(format!(
-                    "warm {} at pc {} still replayed after {} retries",
-                    if is_store { "store" } else { "load" },
-                    rec.pc,
-                    WARM_RETRY_LIMIT
-                )));
-            }
-        }
-    }
-
-    /// Retires the oldest in-flight warm operation: stores commit to memory
-    /// with their write-back cache traffic (the shared
-    /// [`CoreMemSys::commit_store`](aim_mem::CoreMemSys::commit_store)
-    /// path), then the backend sees the in-order retirement hook.
-    fn warm_retire_front(&mut self, lag: &mut VecDeque<WarmOp>) {
-        let Some(op) = lag.pop_front() else { return };
-        if op.is_store {
-            let _ = self.memsys.commit_store(op.access, op.value, self.cycle);
-            self.backend.retire_store(op.seq, op.access);
-        } else {
-            self.backend.retire_load(op.seq, op.access);
-        }
-    }
-
-    fn warm_validate_load(
-        &self,
-        rec: &Retired,
-        access: MemAccess,
-        value: u64,
-    ) -> Result<(), SimError> {
+    /// Checks a warm load's value, read from committed memory, against the
+    /// golden trace.
+    fn warm_validate_load(&self, rec: &Retired, value: u64) -> Result<(), SimError> {
         if !self.config.validate_retirement {
             return Ok(());
         }
-        let (expect_access, expect) = rec.mem_load.expect("load record has an access");
-        if access != expect_access || value != expect {
+        let (access, expect) = rec.mem_load.expect("load record has an access");
+        if value != expect {
             return Err(SimError::Validation(format!(
-                "warm load at pc {} (trace {}): expected {expect_access}={expect:#x}, \
-                 got {access}={value:#x}",
+                "warm load at pc {} (trace {}): expected {access}={expect:#x}, \
+                 got {value:#x}",
                 rec.pc, self.stats.retired
             )));
         }

@@ -247,3 +247,47 @@ fn sampled_runs_are_deterministic() {
     sb.host = Default::default();
     assert_eq!(format!("{sa:?}"), format!("{sb:?}"));
 }
+
+/// Warm stretches train only long-lived state. The SFC and MDT hold
+/// in-flight state that a drained warm stretch cannot teach, so the warm
+/// engine must never drive them: under the tuned policy (eleven periods,
+/// 1/32 of each in detail) every MDT load check and SFC load lookup belongs
+/// to a detailed load execution, though warm loads outnumber detailed ones
+/// many times over.
+#[test]
+fn warm_stretches_never_reach_the_sfc_or_mdt() {
+    for name in ["gzip", "mcf", "swim"] {
+        let workload = aim_workloads::by_name(name, Scale::Small).expect("known kernel");
+        let trace = Interpreter::new(&workload.program)
+            .run(10 * Scale::Small.target_instrs())
+            .expect("golden run");
+        let period = trace.len() as u64 / 11;
+        let detail = period / 32;
+        let policy = SampleSpec::new(period - detail, detail, 11).expect("non-zero policy");
+        let out = run(
+            &workload.program,
+            &trace,
+            config(BackendChoice::SfcMdt, Some(policy)),
+        );
+        let cov = out.stats.sampled.expect("sampled coverage recorded");
+        assert!(cov.warm_retired > 10 * cov.detail_retired, "{name}");
+        // Event counts are extrapolated by retired / detail_retired; undo
+        // that (to within rounding) for the detailed windows' own count.
+        let detail_loads = (u128::from(out.stats.load_executions) * u128::from(cov.detail_retired)
+            / u128::from(out.stats.retired)) as u64
+            + 1;
+        let mdt = out.stats.backend.mdt().expect("sfc-mdt backend");
+        let sfc = out.stats.backend.sfc().expect("sfc-mdt backend");
+        assert!(
+            mdt.load_checks <= detail_loads,
+            "{name}: {} MDT load checks for {detail_loads} detailed load executions",
+            mdt.load_checks
+        );
+        assert!(
+            sfc.load_lookups <= detail_loads,
+            "{name}: {} SFC load lookups for {detail_loads} detailed load executions",
+            sfc.load_lookups
+        );
+        assert!(out.stats.retired_loads > 10 * detail_loads, "{name}");
+    }
+}
