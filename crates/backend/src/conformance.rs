@@ -260,6 +260,14 @@ impl<'a> Driver<'a> {
         })
     }
 
+    /// Op `i`'s position among the script's loads: its `load_values` slot.
+    fn load_slot(&self, i: usize) -> usize {
+        self.script.ops[..i]
+            .iter()
+            .filter(|o| o.kind == MemKind::Load)
+            .count()
+    }
+
     /// Index of the oldest unretired op (the ROB head), if any remain.
     fn head(&self) -> Option<usize> {
         self.states
@@ -379,11 +387,8 @@ impl<'a> Driver<'a> {
                     self.backend.retire_store(seq, op.access);
                 }
                 MemKind::Load => {
-                    let load_idx = self.script.ops[..i]
-                        .iter()
-                        .filter(|o| o.kind == MemKind::Load)
-                        .count();
-                    self.out.load_values[load_idx] = value;
+                    let slot = self.load_slot(i);
+                    self.out.load_values[slot] = value;
                     self.backend.retire_load(seq, op.access);
                 }
             }
@@ -615,7 +620,7 @@ impl<'a> Driver<'a> {
     /// in program order, stores commit their bytes and loads read committed
     /// memory (their final observed value — nothing can squash a warm op),
     /// and the backend hears each op through [`MemBackend::warm`] alone.
-    /// Each op takes a fresh sequence number for the driver's own retirement
+    /// Each op takes a fresh sequence number for the harness's own retirement
     /// bookkeeping; the backend never sees it.
     fn warm_range(&mut self, range: std::ops::Range<usize>) -> Result<(), ConformanceError> {
         for i in range {
@@ -628,11 +633,8 @@ impl<'a> Driver<'a> {
             match op.kind {
                 MemKind::Store => self.mem.write(op.access, op.value),
                 MemKind::Load => {
-                    let load_idx = self.script.ops[..i]
-                        .iter()
-                        .filter(|o| o.kind == MemKind::Load)
-                        .count();
-                    self.out.load_values[load_idx] = self.mem.read(op.access);
+                    let slot = self.load_slot(i);
+                    self.out.load_values[slot] = self.mem.read(op.access);
                 }
             }
             self.backend.warm(op.kind, Self::pc(i), op.access);
